@@ -15,9 +15,11 @@
 //	                                   # CI regression gate: hard-fail on
 //	                                   # allocs/op growth, warn on ns/op
 //
-// Each snapshot entry is keyed by (network, strategy, backend): the
+// Each snapshot entry is keyed by (network, backend, axes): the
 // default-adapter cell is always measured so trajectories stay
-// comparable PR over PR, and -backends adds extra cells per model.
+// comparable PR over PR, -backends adds extra cells per model, and an
+// axes-open cell per model compiles with the RTC traversal ladder and
+// every data mapping open ("rtc/all") at Parallelism 1.
 //
 // Beyond compile throughput the snapshot carries three more sections:
 // a "warm" run per cell (the same compile against a shared cross-compile
@@ -76,13 +78,16 @@ type Run struct {
 	Workers       int     `json:"workers"`
 }
 
-// NetBench is one (network, strategy, backend) cell: the model's
+// NetBench is one (network, backend, axes) cell: the model's
 // baseline/optimized strategy pair measured through one memory backend.
 // Backend is the "-backend" spec verbatim; empty means the platform's
-// default technology adapter, keeping legacy snapshots comparable.
+// default technology adapter, keeping legacy snapshots comparable. Axes
+// is "traversal/mapping" for the axes-open cells (openAxes); empty
+// means the default axes.
 type NetBench struct {
 	Model     string `json:"model"`
 	Backend   string `json:"backend,omitempty"`
+	Axes      string `json:"axes,omitempty"`
 	Layers    int    `json:"layers"`
 	Baseline  Run    `json:"baseline"`
 	Optimized Run    `json:"optimized"`
@@ -168,6 +173,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	cells := make([]benchCell, 0, len(backends)+1)
+	for _, spec := range backends {
+		cells = append(cells, benchCell{backend: spec})
+	}
+	cells = append(cells, benchCell{axes: openAxes})
+
 	cfg := hw.TestAcceleratorEDRAM()
 	snap := Snapshot{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -176,21 +187,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Iters:       *iters,
 	}
 	for _, net := range nets {
-		for _, spec := range backends {
+		for _, c := range cells {
 			// The baseline is the historical stateless path: sequential,
 			// no memo, no incremental bound pricing.
-			base := benchOpts(spec)
+			base := c.opts()
 			base.Parallelism = 1
 			base.DisableMemo = true
 			base.DisableIncremental = true
-			opt := benchOpts(spec)
-			opt.Parallelism = *parallelism
+			opt := c.opts()
+			opt.Parallelism = c.parallelism(*parallelism)
 			// The warm run shares one memo (and one prefix memo) across
 			// compiles: measure's untimed warmup primes them, so every
 			// timed iteration sees the previous compile's entries — the
 			// fleet steady state, which must be allocation-free.
-			warm := benchOpts(spec)
-			warm.Parallelism = *parallelism
+			warm := c.opts()
+			warm.Parallelism = c.parallelism(*parallelism)
 			warm.Memo = sched.NewMemo(0)
 			warm.Prefix = sched.NewPrefixMemo(0)
 
@@ -205,7 +216,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			warmed.Strategy = "parallel-memoized-warm"
 			nb := NetBench{
 				Model:     net.Name,
-				Backend:   spec,
+				Backend:   c.backend,
+				Axes:      c.axes,
 				Layers:    len(net.Layers),
 				Baseline:  baseline,
 				Optimized: optimized,
@@ -215,10 +227,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				nb.SpeedupX = float64(baseline.NsPerOp) / float64(optimized.NsPerOp)
 			}
 			snap.Networks = append(snap.Networks, nb)
-			label := net.Name
-			if spec != "" {
-				label += "/" + spec
-			}
+			label := net.Name + c.label()
 			fmt.Fprintf(stdout, "%-24s %3d layers: baseline %8.2fms, optimized %8.2fms (%.2fx, memo %d/%d hits, prefix %.0f%%, warm %.0f%% @%d allocs, %d evals)\n",
 				label, nb.Layers,
 				float64(baseline.NsPerOp)/1e6, float64(optimized.NsPerOp)/1e6,
@@ -297,10 +306,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // checkRegression compares the fresh snapshot's throughput cells against
 // a committed prior one. Allocation counts are deterministic, so growth
-// beyond slack (25% + 32 allocs, absorbing measurement jitter from the
-// MemStats-delta estimator) is a hard failure; wall-clock is noisy on
-// shared CI machines, so ns/op regressions only warn. Cells present on
-// one side only (new model, new backend) are skipped — trajectories are
+// beyond allocLimit is a hard failure; wall-clock is noisy on shared CI
+// machines, so ns/op regressions only warn. Cells present on one side
+// only (new model, new backend, new axes) are skipped — trajectories are
 // compared where both snapshots measured the same thing.
 func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error) {
 	raw, err := os.ReadFile(path)
@@ -311,20 +319,17 @@ func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error)
 	if err := json.Unmarshal(raw, &prior); err != nil {
 		return 0, fmt.Errorf("decoding prior snapshot %s: %w", path, err)
 	}
-	old := make(map[string]NetBench, len(prior.Networks))
+	old := make(map[benchKey]NetBench, len(prior.Networks))
 	for _, nb := range prior.Networks {
-		old[nb.Model+"\x00"+nb.Backend] = nb
+		old[benchKey{nb.Model, nb.Backend, nb.Axes}] = nb
 	}
 	fails := 0
 	for _, nb := range snap.Networks {
-		p, ok := old[nb.Model+"\x00"+nb.Backend]
+		p, ok := old[benchKey{nb.Model, nb.Backend, nb.Axes}]
 		if !ok {
 			continue
 		}
-		cell := nb.Model
-		if nb.Backend != "" {
-			cell += "/" + nb.Backend
-		}
+		cell := nb.Model + benchCell{backend: nb.Backend, axes: nb.Axes}.label()
 		for _, c := range []struct {
 			kind     string
 			old, new Run
@@ -333,7 +338,7 @@ func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error)
 			{"optimized", p.Optimized, nb.Optimized},
 			{"warm", p.Warm, nb.Warm},
 		} {
-			if limit := c.old.AllocsPerOp + c.old.AllocsPerOp/4 + 32; c.new.AllocsPerOp > limit {
+			if limit := allocLimit(c.old.AllocsPerOp); c.new.AllocsPerOp > limit {
 				fmt.Fprintf(stdout, "FAIL %s/%s: allocs/op %d -> %d (limit %d)\n",
 					cell, c.kind, c.old.AllocsPerOp, c.new.AllocsPerOp, limit)
 				fails++
@@ -345,6 +350,60 @@ func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error)
 		}
 	}
 	return fails, nil
+}
+
+// allocLimit is the most allocs/op a cell may measure against a prior
+// value: 25% + 32 allocs of slack absorb the MemStats-delta estimator's
+// jitter on allocating cells, while an allocation-free prior admits
+// none — the per-iteration average already rounds stray runtime
+// allocations down to zero.
+func allocLimit(prior uint64) uint64 {
+	if prior == 0 {
+		return 0
+	}
+	return prior + prior/4 + 32
+}
+
+// openAxes is the axes-open cell's "traversal/mapping" spelling: the RTC
+// ladder × every mapping policy, the compile that sets ranad's tail.
+const openAxes = "rtc/all"
+
+// benchCell is one measured (backend, axes) configuration of a model.
+type benchCell struct {
+	backend string // -backends spec; empty = the default adapter
+	axes    string // "traversal/mapping"; empty = the default axes
+}
+
+// benchKey identifies a snapshot cell across snapshots.
+type benchKey struct{ model, backend, axes string }
+
+// opts is the cell's measured design point (benchOpts) with its axes.
+func (c benchCell) opts() sched.Options {
+	opts := benchOpts(c.backend)
+	opts.Traversal, opts.Mapping, _ = strings.Cut(c.axes, "/")
+	return opts
+}
+
+// parallelism is the optimized and warm runs' worker bound: the -parallelism
+// flag, except that axes-open cells always measure the single-core
+// compile, so they compare across machines.
+func (c benchCell) parallelism(flagVal int) int {
+	if c.axes != "" {
+		return 1
+	}
+	return flagVal
+}
+
+// label is the cell's suffix in progress lines and regression reports.
+func (c benchCell) label() string {
+	var l string
+	if c.backend != "" {
+		l += "/" + c.backend
+	}
+	if c.axes != "" {
+		l += "/" + c.axes
+	}
+	return l
 }
 
 // benchOpts is the measured design point: the full RANA option set the

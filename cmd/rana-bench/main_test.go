@@ -26,8 +26,11 @@ func TestRunWritesSnapshot(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("invalid snapshot JSON: %v", err)
 	}
-	if len(snap.Networks) != 1 || snap.Networks[0].Model != "AlexNet" {
-		t.Fatalf("networks = %+v, want one AlexNet entry", snap.Networks)
+	if len(snap.Networks) != 2 || snap.Networks[0].Model != "AlexNet" || snap.Networks[1].Model != "AlexNet" {
+		t.Fatalf("networks = %+v, want two AlexNet entries", snap.Networks)
+	}
+	if ax := snap.Networks[1]; ax.Axes != openAxes || ax.Optimized.Workers != 1 || ax.Warm.Workers != 1 || ax.Optimized.Evaluated <= 0 {
+		t.Fatalf("axes-open cell = %+v, want %q at one worker", ax, openAxes)
 	}
 	nb := snap.Networks[0]
 	if nb.Baseline.NsPerOp <= 0 || nb.Optimized.NsPerOp <= 0 {

@@ -17,6 +17,7 @@ package pattern
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"rana/internal/hw"
@@ -110,10 +111,27 @@ var Linear = Traversal{}
 // IsLinear reports whether the traversal is the unmodified nest.
 func (tr Traversal) IsLinear() bool { return tr.Blocks <= 1 }
 
-// String implements fmt.Stringer.
+// MaxTraversalBlocks is the largest stage count whose spelling is
+// precomputed, and the bound the scheduler's traversal grammar accepts.
+const MaxTraversalBlocks = 64
+
+// blockedNames holds the spellings "blocked2".."blocked64", indexed by
+// stage count, so String never formats on the scheduler's hot path.
+var blockedNames = func() (names [MaxTraversalBlocks + 1]string) {
+	for b := 2; b <= MaxTraversalBlocks; b++ {
+		names[b] = "blocked" + strconv.Itoa(b)
+	}
+	return names
+}()
+
+// String implements fmt.Stringer. Stage counts up to MaxTraversalBlocks
+// return a precomputed name; larger ones are formatted.
 func (tr Traversal) String() string {
 	if tr.IsLinear() {
 		return "linear"
+	}
+	if tr.Blocks <= MaxTraversalBlocks {
+		return blockedNames[tr.Blocks]
 	}
 	return fmt.Sprintf("blocked%d", tr.Blocks)
 }
@@ -242,34 +260,51 @@ func Analyze(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config) (Analysis, err
 // traversal-invariant: blocking permutes the visit order of the same
 // tile set.
 func AnalyzeTraversal(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv Traversal) (Analysis, error) {
-	if err := l.Validate(); err != nil {
+	var a Analysis
+	if err := AnalyzeTraversalInto(&a, &l, k, t, &cfg, trv); err != nil {
 		return Analysis{}, err
+	}
+	return a, nil
+}
+
+// AnalyzeTraversalInto is AnalyzeTraversal writing into a caller-owned
+// Analysis, with the layer and accelerator read through pointers: the
+// form the scheduler's exact evaluator runs once per analyzed cell,
+// where returning the Analysis (and passing the layer and config) by
+// value put a block copy on every call. On a nil error every field of
+// *dst is overwritten, whatever it held before — the scheduler reuses
+// one destination across candidates; on an error *dst is unspecified.
+func AnalyzeTraversalInto(dst *Analysis, l *models.ConvLayer, k Kind, t Tiling, cfg *hw.Config, trv Traversal) error {
+	if err := l.Validate(); err != nil {
+		return err
 	}
 	if err := t.Validate(); err != nil {
-		return Analysis{}, err
+		return err
 	}
 	if err := trv.Validate(); err != nil {
-		return Analysis{}, err
+		return err
 	}
 	switch k {
 	case ID, OD, WD:
 	default:
-		return Analysis{}, fmt.Errorf("pattern: unknown kind %d", int(k))
+		return fmt.Errorf("pattern: unknown kind %d", int(k))
 	}
 	switch cfg.Mapping {
 	case hw.MapOutputPixel, hw.MapOutputInput:
 	default:
-		return Analysis{}, fmt.Errorf("pattern: unknown mapping %v", cfg.Mapping)
+		return fmt.Errorf("pattern: unknown mapping %v", cfg.Mapping)
 	}
 	g := l.Groups
 	if g <= 1 {
-		return analyzeUngrouped(l, k, t, cfg, trv, 1), nil
+		analyzeUngrouped(dst, l, k, t, cfg, trv, 1)
+		return nil
 	}
-	sub := l
+	sub := *l
 	sub.N /= g
 	sub.M /= g
 	sub.Groups = 1
-	return analyzeUngrouped(sub, k, t, cfg, trv, g), nil
+	analyzeUngrouped(dst, &sub, k, t, cfg, trv, g)
+	return nil
 }
 
 // MustAnalyze is Analyze for inputs known valid by construction — tests,
@@ -283,16 +318,22 @@ func MustAnalyze(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config) Analysis {
 	return a
 }
 
-// analyzeUngrouped does the real work on an ungrouped (sub-)layer and
-// scales whole-layer totals by the group count g. The reported Layer is
-// the original grouped layer reconstructed.
-func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv Traversal, g int) Analysis {
-	R, C := l.R(), l.C()
+// analyzeUngrouped does the real work on an ungrouped (sub-)layer into
+// *a and scales whole-layer totals by the group count g. The reported
+// Layer is the original grouped layer reconstructed. Every field of *a
+// is assigned one by one: a composite-literal store through the pointer
+// would build a temporary and block-copy it. The layer's and the
+// array's derived quantities are spelled out from their fields: through
+// the pointers, each inlined value-receiver helper (ConvLayer.R,
+// Tiling.Th, Config.PEs, ...) would copy the whole struct first.
+func analyzeUngrouped(a *Analysis, l *models.ConvLayer, k Kind, t Tiling, cfg *hw.Config, trv Traversal, g int) {
+	R := (l.H+2*l.P-l.K)/l.S + 1
+	C := (l.L+2*l.P-l.K)/l.S + 1
 	nM := ceilDiv(l.M, t.Tm)
 	nN := ceilDiv(l.N, t.Tn)
 	nR := ceilDiv(R, t.Tr)
 	nC := ceilDiv(C, t.Tc)
-	th, tl := t.Th(l), t.Tl(l)
+	th, tl := (t.Tr-1)*l.S+l.K, (t.Tc-1)*l.S+l.K
 
 	// Core tile time depends on the array's spatial mapping (hw.Mapping):
 	// spatial loop dimensions are ceil-divided over array lanes, temporal
@@ -317,8 +358,8 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 	subCycles := tiles * perTile
 	cycles := subCycles * uint64(g)
 
-	macs := l.MACs() * uint64(g)
-	util := float64(macs) / (float64(cfg.PEs()) * float64(cycles))
+	macs := uint64(l.M) * uint64(l.N) * uint64(R) * uint64(C) * k2(l) * uint64(g)
+	util := float64(macs) / (float64(cfg.ArrayM*cfg.ArrayN) * float64(cycles))
 
 	// Per-tile transfer sizes (words).
 	inTile := uint64(t.Tn) * uint64(th) * uint64(tl)
@@ -326,20 +367,18 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 	outTile := uint64(t.Tm) * uint64(t.Tr) * uint64(t.Tc)
 
 	// Whole-(sub)layer data volumes.
-	din := l.InputWords()
-	dw := l.WeightWords()
-	dout := l.OutputWords()
+	din := uint64(l.N) * uint64(l.H) * uint64(l.L)
+	dw := uint64(l.M) * uint64(l.N) * k2(l)
+	dout := uint64(l.M) * uint64(R) * uint64(C)
 
-	a := Analysis{
-		Layer:       l,
-		Pattern:     k,
-		Tiling:      t,
-		Traversal:   trv,
-		MACs:        macs,
-		Cycles:      cycles,
-		ExecTime:    cyclesDur(cycles, cfg),
-		Utilization: util,
-	}
+	a.Layer = *l
+	a.Pattern = k
+	a.Tiling = t
+	a.Traversal = trv
+	a.MACs = macs
+	a.Cycles = cycles
+	a.ExecTime = cyclesDur(cycles, cfg)
+	a.Utilization = util
 	if g > 1 {
 		a.Layer.N *= g
 		a.Layer.M *= g
@@ -533,20 +572,19 @@ func analyzeUngrouped(l models.ConvLayer, k Kind, t Tiling, cfg hw.Config, trv T
 		a.DDRTraffic = scaleStorage(a.DDRTraffic, uint64(g))
 		a.BufferWrites *= uint64(g)
 	}
-	return a
 }
 
-func fits(s Storage, cfg hw.Config) bool { return s.Total() <= cfg.BufferWords }
+func fits(s Storage, cfg *hw.Config) bool { return s.Total() <= cfg.BufferWords }
 
 func scaleStorage(s Storage, k uint64) Storage {
 	return Storage{Inputs: s.Inputs * k, Outputs: s.Outputs * k, Weights: s.Weights * k}
 }
 
-func k2(l models.ConvLayer) uint64 { return uint64(l.K) * uint64(l.K) }
+func k2(l *models.ConvLayer) uint64 { return uint64(l.K) * uint64(l.K) }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // cyclesDur converts a cycle count to wall time at the accelerator clock.
-func cyclesDur(cycles uint64, cfg hw.Config) time.Duration {
+func cyclesDur(cycles uint64, cfg *hw.Config) time.Duration {
 	return time.Duration(float64(cycles) / cfg.FrequencyHz * float64(time.Second))
 }

@@ -52,33 +52,49 @@ var (
 	defaultMappingAxis   = []MappingPolicy{RowMajorMapping}
 )
 
-// envFor parses the options' traversal and mapping specs once per
-// compile. Both parsers put the default at index 0, so a default-only
-// axis reproduces the historical candidate stream; the empty specs
-// resolve to shared singleton axes without parsing at all.
-func envFor(opts Options) (compileEnv, error) {
+// axisScratch is reusable storage the traversal and mapping specs parse
+// into: a compile's arena owns one, so resolving its axes costs no
+// allocation once the arena has warmed up.
+type axisScratch struct {
+	travs []pattern.Traversal
+	maps  []MappingPolicy
+}
+
+// parseAxes resolves the options' traversal and mapping specs into a
+// compile environment, parsing each into sc. It is the one parse a
+// compile pays: it validates the specs (check covers the rest of the
+// options) and yields the axes exploration and the memo signature read.
+// Both parsers put the default at index 0, so a default-only axis
+// reproduces the historical candidate stream; the empty specs resolve
+// to the shared singleton axes without parsing at all. The axes parse
+// independently: a failing one is left at its default and reported
+// (the traversal's error first), the other still resolves.
+func (o *Options) parseAxes(sc *axisScratch) (compileEnv, error) {
 	env := compileEnv{travs: defaultTraversalAxis, maps: defaultMappingAxis}
-	if opts.Traversal != "" {
-		travs, err := ParseTraversalSpec(opts.Traversal)
-		if err != nil {
-			return env, err
+	var terr, merr error
+	if o.Traversal != "" {
+		var travs []pattern.Traversal
+		if travs, terr = appendTraversalSpec(sc.travs[:0], o.Traversal); terr == nil {
+			sc.travs, env.travs = travs, travs
 		}
-		env.travs = travs
 	}
-	if opts.Mapping != "" {
-		maps, err := ParseMappingSpec(opts.Mapping)
-		if err != nil {
-			return env, err
+	if o.Mapping != "" {
+		var maps []MappingPolicy
+		if maps, merr = appendMappingSpec(sc.maps[:0], o.Mapping); merr == nil {
+			sc.maps, env.maps = maps, maps
 		}
-		env.maps = maps
 	}
-	return env, nil
+	if terr != nil {
+		return env, terr
+	}
+	return env, merr
 }
 
 // exploreState is one exploring goroutine's reusable scratch arena. The
 // four search closures are created once per state and read the current
 // layer through the state fields, so re-pointing the state at a new
-// layer costs no closure allocations.
+// layer costs no closure allocations, and the exact evaluator reads the
+// layer, config and options in place instead of copying them per call.
 type exploreState struct {
 	l    models.ConvLayer
 	e    models.ConvLayer
@@ -86,6 +102,7 @@ type exploreState struct {
 	opts Options
 	env  compileEnv
 	bk   mem.Backend
+	in   cellInputs // points into l, cfg and opts
 
 	points   []mem.OperatingPoint
 	ptTables []energy.Table
@@ -99,7 +116,7 @@ type exploreState struct {
 	admit     func(pattern.Tiling) bool
 	boundFn   func(pattern.Kind, pattern.Tiling, search.Cell) float64
 	newPricer func() search.Pricer
-	evaluate  func(pattern.Kind, pattern.Tiling, search.Cell, *search.Outcome[LayerPlan]) error
+	evaluate  func(pattern.Kind, pattern.Tiling, search.Cell, *search.Outcome[cellPlan]) error
 }
 
 func newExploreState() *exploreState {
@@ -107,16 +124,60 @@ func newExploreState() *exploreState {
 	s.admit = func(t pattern.Tiling) bool { return t.FitsCore(s.e, s.cfg) }
 	s.boundFn = s.b.lower
 	s.newPricer = func() search.Pricer { return acquirePricer(&s.b, s.env.prefix) }
-	s.evaluate = func(k pattern.Kind, t pattern.Tiling, cell search.Cell, out *search.Outcome[LayerPlan]) error {
-		if err := evaluateCellInto(&out.Value, s.l, k, t, s.cfg, s.opts, s.bk,
-			s.points[cell.Point], s.env.travs[cell.Trav], s.env.maps[cell.Map]); err != nil {
+	s.evaluate = s.evaluateExact
+	return s
+}
+
+// cellPlan is the exact evaluator's scratch payload: the candidate's
+// plan plus the coordinate its analysis-derived fields belong to. The
+// key means something only while valid is set, and only within one
+// scratch-Outcome lease (see evaluateExact).
+type cellPlan struct {
+	LayerPlan
+	key   cellKey
+	valid bool
+}
+
+// cellKey is the coordinate the first step of exact evaluation
+// (cellInputs.analyze) depends on: everything but the mapping, which the
+// engine enumerates innermost and which only reprices the analysis.
+type cellKey struct {
+	kind  pattern.Kind
+	t     pattern.Tiling
+	point int
+	trav  int
+}
+
+// evaluateExact is the search engine's exact evaluator, run in the two
+// steps of evaluateCell's stateless form: cellInputs.analyze once per
+// (kind, tiling, operating point, traversal) coordinate, then
+// priceCell per mapping cell of it — one Eq. 14 pricing against the
+// cell's derived table, whose bits equal the stateless
+// mp.Apply(point table). The
+// engine scans mapping cells of one coordinate consecutively and only
+// reads *out between calls (search.Problem.Evaluate), so the scratch
+// Outcome still holds the coordinate's analysis when its next mapping
+// cell arrives, and that cell skips the first step.
+//
+// The reuse key is valid within one scratch-Outcome lease only: it is
+// checked on every call, getOutcome clears it, an error clears it, and
+// a zeroed Outcome (Beam's fresh per-survivor slots) never matches. A
+// lease never outlives one layer's search.Run, so the layer, config,
+// options and axes behind a valid key cannot change under it.
+func (s *exploreState) evaluateExact(k pattern.Kind, t pattern.Tiling, cell search.Cell, out *search.Outcome[cellPlan]) error {
+	cp := &out.Value
+	key := cellKey{kind: k, t: t, point: cell.Point, trav: cell.Trav}
+	if !cp.valid || cp.key != key {
+		cp.valid = false
+		if err := s.in.analyze(&cp.LayerPlan, k, t, &s.points[cell.Point], s.env.travs[cell.Trav]); err != nil {
 			return err
 		}
-		out.Feasible = out.Value.Analysis.Feasible
-		out.Energy = out.Value.Energy.Total()
-		return nil
+		cp.key, cp.valid = key, true
 	}
-	return s
+	priceCell(&cp.LayerPlan, s.tables[cell.Map*len(s.points)+cell.Point], s.env.maps[cell.Map])
+	out.Feasible = cp.Analysis.Feasible
+	out.Energy = cp.Energy.Total()
+	return nil
 }
 
 var exploreStatePool = sync.Pool{New: func() any { return newExploreState() }}
@@ -125,10 +186,17 @@ var exploreStatePool = sync.Pool{New: func() any { return newExploreState() }}
 // (Problem.NewOutcome): the scratch crosses the Evaluate indirection,
 // so the engine cannot keep it on the stack, and pooling the buffer is
 // what keeps the per-scan lease off the steady-state allocation count.
-var outcomePool = sync.Pool{New: func() any { return new(search.Outcome[LayerPlan]) }}
+var outcomePool = sync.Pool{New: func() any { return new(search.Outcome[cellPlan]) }}
 
-func getOutcome() *search.Outcome[LayerPlan]  { return outcomePool.Get().(*search.Outcome[LayerPlan]) }
-func putOutcome(o *search.Outcome[LayerPlan]) { outcomePool.Put(o) }
+// getOutcome leases a scratch Outcome with its reuse key cleared: a
+// pooled buffer still holds some earlier layer's analysis.
+func getOutcome() *search.Outcome[cellPlan] {
+	o := outcomePool.Get().(*search.Outcome[cellPlan])
+	o.Value.valid = false
+	return o
+}
+
+func putOutcome(o *search.Outcome[cellPlan]) { outcomePool.Put(o) }
 
 // release drops the per-layer references (so a pooled state cannot
 // pin a network's layers or a caller's options alive) and returns the
@@ -138,6 +206,7 @@ func (s *exploreState) release() {
 	s.opts = Options{}
 	s.env = compileEnv{}
 	s.bk = nil
+	s.in = cellInputs{}
 	exploreStatePool.Put(s)
 }
 
@@ -151,6 +220,19 @@ func exploreLayerEnv(l models.ConvLayer, cfg hw.Config, opts Options, env compil
 	return s.explore(l, cfg, opts, env)
 }
 
+// bind points the state at one layer's search, after the backend and
+// its operating points are resolved into s.bk and s.points: the layer,
+// config, options and axes the evaluators read, the per-(mapping,
+// point) pricing tables and the bound.
+func (s *exploreState) bind(l models.ConvLayer, cfg hw.Config, opts Options, env compileEnv) {
+	s.l, s.cfg, s.opts, s.env = l, cfg, opts, env
+	s.in = newCellInputs(&s.l, &s.cfg, &s.opts, s.bk)
+	s.e = effectiveLayer(l)
+	s.ptTables = appendPointTables(s.ptTables[:0], s.points)
+	s.tables = appendMappingTables(s.tables[:0], s.ptTables, env.maps)
+	s.b.init(l, cfg, s.tables, len(s.points), env.travs)
+}
+
 func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, env compileEnv) (LayerPlan, search.Stats, error) {
 	var err error
 	s.bk, s.points, err = appendBackendPoints(s.points[:0], cfg, opts, opts.layerBudget(l.Name), l.Name)
@@ -160,8 +242,7 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 	if opts.NaturalTiling {
 		return naturalSchedule(l, cfg, opts, s.bk, s.points[0])
 	}
-	s.l, s.cfg, s.opts, s.env = l, cfg, opts, env
-	s.e = effectiveLayer(l)
+	s.bind(l, cfg, opts, env)
 	var space search.Space
 	if opts.FixedTiling != nil {
 		s.fixed[0] = *opts.FixedTiling
@@ -182,10 +263,7 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 		s.product.Init(a[:m1], a[m1:n1], a[n1:r1], a[r1:])
 		space = &s.product
 	}
-	s.ptTables = appendPointTables(s.ptTables[:0], s.points)
-	s.tables = appendMappingTables(s.tables[:0], s.ptTables, env.maps)
-	s.b.init(l, cfg, s.tables, len(s.points), env.travs)
-	prob := search.Problem[LayerPlan]{
+	prob := search.Problem[cellPlan]{
 		Space:       space,
 		Kinds:       opts.Patterns,
 		Admit:       s.admit,
@@ -207,7 +285,7 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 	if !r.Found {
 		return LayerPlan{}, r.Stats, fmt.Errorf("no feasible tiling for layer %q", l.Name)
 	}
-	return r.Outcome.Value, r.Stats, nil
+	return r.Outcome.Value.LayerPlan, r.Stats, nil
 }
 
 // compileState is one compile's arena: the per-layer slices, the miss
@@ -221,6 +299,7 @@ type compileState struct {
 	miss   []int
 	sigBuf []byte
 	sig    string
+	axes   axisScratch
 }
 
 var compileStatePool = sync.Pool{New: func() any { return new(compileState) }}
@@ -246,11 +325,12 @@ func (cs *compileState) grow(n int) {
 	cs.miss = cs.miss[:0]
 }
 
-// internSignature rebuilds the options signature into the reused buffer
-// and re-interns the string only when the bytes changed — the common
-// case (same options compile after compile) costs zero allocations.
-func (cs *compileState) internSignature(opts Options) string {
-	cs.sigBuf = opts.appendSignature(cs.sigBuf[:0])
+// internSignature rebuilds the options signature (over the compile's
+// parsed axes) into the reused buffer and re-interns the string only
+// when the bytes changed — the common case (same options compile after
+// compile) costs zero allocations.
+func (cs *compileState) internSignature(opts *Options, env compileEnv) string {
+	cs.sigBuf = opts.appendSignature(cs.sigBuf[:0], env)
 	if string(cs.sigBuf) != cs.sig {
 		cs.sig = string(cs.sigBuf)
 	}
@@ -337,11 +417,13 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	if err := cfg.Validate(); err != nil {
 		return ns, err
 	}
-	if err := opts.Validate(); err != nil {
+	if err := opts.check(); err != nil {
 		return ns, err
 	}
-	env, err := envFor(opts)
+	cs := compileStatePool.Get().(*compileState)
+	env, err := opts.parseAxes(&cs.axes)
 	if err != nil {
+		compileStatePool.Put(cs)
 		return ns, err
 	}
 	// Incremental pricing shares prefix sums across the compile's layers
@@ -362,7 +444,6 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	if memo == nil && !opts.DisableMemo {
 		memo, pooledMemo = getCompileMemo(), true
 	}
-	cs := compileStatePool.Get().(*compileState)
 	defer releaseCompile(cs, memo, pooledMemo, prefix, pooledPrefix)
 
 	n := len(net.Layers)
@@ -375,7 +456,7 @@ func ExploreNetworkInto(ctx context.Context, net models.Network, cfg hw.Config, 
 	// Phase 1: the peek pass. Keys are built once and kept for the miss
 	// drain; completed memo entries are served inline.
 	if memo != nil {
-		sig := cs.internSignature(opts)
+		sig := cs.internSignature(&opts, env)
 		for i, l := range net.Layers {
 			cs.keys[i] = keyWithSig(l, cfg, opts, sig)
 			if lp, ok := memo.peek(cs.keys[i], l); ok {

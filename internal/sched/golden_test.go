@@ -30,12 +30,34 @@ var update = flag.Bool("update", false, "rewrite the golden schedule files")
 // bounded per-layer budget. Any change to pattern selection, tiling
 // search, refresh-flag computation or the energy model shows up as a
 // golden diff; run `go test ./internal/sched -update` to accept it.
+//
+// The `axes` goldens pin the same zoo with the traversal and mapping
+// axes open (the RTC ladder × every mapping policy) at both retention
+// design points: the conventional controller at the 45 µs interval,
+// where blocked traversals win, and the refresh-optimized controller at
+// 734 µs. They guard the exact evaluator's per-coordinate reuse, which
+// only ever runs with more than one mapping cell.
 func TestGoldenSchedules(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()
-	opts := Options{
+	base := Options{
 		Patterns:        []pattern.Kind{pattern.OD, pattern.WD},
 		RefreshInterval: 734 * time.Microsecond,
 		Controller:      memctrl.RefreshOptimized{},
+	}
+	conv45 := base
+	conv45.RefreshInterval = 45 * time.Microsecond
+	conv45.Controller = memctrl.Conventional{}
+	conv45.Traversal, conv45.Mapping = "rtc", "all"
+	opt734 := base
+	opt734.Traversal, opt734.Mapping = "rtc", "all"
+	suites := []struct {
+		name string // golden file name suffix; the default suite has none
+		sub  string // subdirectory of the strategy's golden directory
+		opts Options
+	}{
+		{"", "", base},
+		{"conv45", "axes", conv45},
+		{"opt734", "axes", opt734},
 	}
 	cases := []struct {
 		strategy search.Strategy
@@ -46,39 +68,51 @@ func TestGoldenSchedules(t *testing.T) {
 		{search.Pruned, "golden", false},
 		{search.Beam, "golden-beam", true},
 	}
-	for _, c := range cases {
-		opts := opts
-		opts.Search = c.strategy
-		for _, net := range models.Benchmarks() {
-			t.Run(string(c.strategy)+"/"+net.Name, func(t *testing.T) {
-				plan, err := Schedule(net, cfg, opts)
-				if err != nil {
-					t.Fatal(err)
+	for _, su := range suites {
+		for _, c := range cases {
+			opts := su.opts
+			opts.Search = c.strategy
+			for _, net := range models.Benchmarks() {
+				name := net.Name
+				if su.name != "" {
+					name += "-" + su.name
 				}
-				got, err := json.MarshalIndent(Encode(plan), "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, '\n')
-				path := filepath.Join("testdata", c.dir, net.Name+".json")
-				if *update && c.write {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("%v (run with -update to create)", err)
-				}
-				if string(want) != string(got) {
-					t.Errorf("%s schedule for %s drifted from %s; run `go test ./internal/sched -update` if intended.\ngot:\n%s",
-						c.strategy, net.Name, path, got)
-				}
-			})
+				path := filepath.Join("testdata", c.dir, su.sub, name+".json")
+				t.Run(filepath.Join(string(c.strategy), su.sub, name), func(t *testing.T) {
+					checkGolden(t, path, net, cfg, opts, *update && c.write)
+				})
+			}
 		}
+	}
+}
+
+// checkGolden compiles net and compares its wire encoding against the
+// golden file at path, or rewrites the file when write is set.
+func checkGolden(t *testing.T, path string, net models.Network, cfg hw.Config, opts Options, write bool) {
+	plan, err := Schedule(net, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(Encode(plan), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	if write {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if string(want) != string(got) {
+		t.Errorf("%s schedule for %s drifted from %s; run `go test ./internal/sched -update` if intended.\ngot:\n%s",
+			opts.Search, net.Name, path, got)
 	}
 }

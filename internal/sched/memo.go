@@ -117,15 +117,17 @@ func (m *Memo) Stats() MemoStats {
 // are deliberately absent: none of them changes a layer's resulting
 // plan bytes.
 func (o Options) signature() string {
-	return string(o.appendSignature(nil))
+	var sc axisScratch
+	env, _ := o.parseAxes(&sc)
+	return string(o.appendSignature(nil, env))
 }
 
-// appendSignature is signature writing into dst — the allocation-free
-// form the compile path builds its (interned) signature with. One
-// strconv.Append* call per component; %g floats spell identically to
-// the historical fmt.Fprintf form (both emit the shortest round-trip
-// representation).
-func (o Options) appendSignature(dst []byte) []byte {
+// appendSignature is signature writing into dst over the options'
+// parsed axes — the allocation-free form the compile path builds its
+// (interned) signature with. One strconv.Append* call per component; %g
+// floats spell identically to the historical fmt.Fprintf form (both
+// emit the shortest round-trip representation).
+func (o *Options) appendSignature(dst []byte, env compileEnv) []byte {
 	for _, k := range o.Patterns {
 		dst = append(dst, k.String()...)
 		dst = append(dst, ',')
@@ -180,20 +182,14 @@ func (o Options) appendSignature(dst []byte) []byte {
 	// The traversal and mapping axes, in canonical spelling so
 	// equivalent specs ("", "linear", "linear,linear") collapse onto one
 	// entry; the default-only axes append nothing, keeping legacy
-	// signatures byte-identical (and the empty-spec fast path
-	// allocation-free). Validate already rejected unparseable specs, so
-	// the canonicalizers cannot fail here.
-	if o.Traversal != "" {
-		if tr, err := CanonicalTraversalSpec(o.Traversal); err == nil && tr != "" {
-			dst = append(dst, "|traversal="...)
-			dst = append(dst, tr...)
-		}
+	// signatures byte-identical.
+	if len(env.travs) > 1 {
+		dst = append(dst, "|traversal="...)
+		dst = appendCanonicalTraversals(dst, env.travs)
 	}
-	if o.Mapping != "" {
-		if mp, err := CanonicalMappingSpec(o.Mapping); err == nil && mp != "" {
-			dst = append(dst, "|mapping="...)
-			dst = append(dst, mp...)
-		}
+	if len(env.maps) > 1 {
+		dst = append(dst, "|mapping="...)
+		dst = appendCanonicalMappings(dst, env.maps)
 	}
 	return dst
 }

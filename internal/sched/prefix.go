@@ -117,7 +117,20 @@ func (p *PrefixMemo) reset() {
 // that neither supplies Options.Prefix nor disables incremental pricing
 // leases one, and it is reset (entries and counters) on release so
 // per-compile hit rates mean what they say.
-var compilePrefixPool = sync.Pool{New: func() any { return NewPrefixMemo(0) }}
+var compilePrefixPool = sync.Pool{New: func() any {
+	p := NewPrefixMemo(0)
+	p.entries = make(map[prefixKey]prefixSums, compilePrefixHint)
+	return p
+}}
+
+// compilePrefixHint pre-sizes the pooled per-compile prefix memos' maps.
+// clear() re-seeds a map's hash on every reset, so tables grown to just
+// fit one compile's keys can split on the next compile — an allocation
+// in the steady-state compile. The hint lays out four full-size tables
+// up front, about what growing to GoogLeNet's ~2,800 prefixes builds
+// anyway, and at that load a table is many standard deviations from
+// filling whatever the seed.
+const compilePrefixHint = 2048
 
 func getCompilePrefix() *PrefixMemo { return compilePrefixPool.Get().(*PrefixMemo) }
 

@@ -213,6 +213,17 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // Validate reports configuration errors.
 func (o Options) Validate() error {
+	if err := o.check(); err != nil {
+		return err
+	}
+	var sc axisScratch
+	_, err := o.parseAxes(&sc)
+	return err
+}
+
+// check is Validate short of the traversal and mapping specs, which the
+// compile paths validate by parsing them once (parseAxes).
+func (o *Options) check() error {
 	if len(o.Patterns) == 0 {
 		return fmt.Errorf("sched: no patterns to explore")
 	}
@@ -241,18 +252,6 @@ func (o Options) Validate() error {
 	}
 	if o.ErrorBudget < 0 || o.ErrorBudget > 1 {
 		return fmt.Errorf("sched: error budget %g outside [0, 1]", o.ErrorBudget)
-	}
-	// Empty specs are the always-valid defaults; skipping the parse
-	// keeps repeated validation (once per compile) allocation-free.
-	if o.Traversal != "" {
-		if _, err := ParseTraversalSpec(o.Traversal); err != nil {
-			return err
-		}
-	}
-	if o.Mapping != "" {
-		if _, err := ParseMappingSpec(o.Mapping); err != nil {
-			return err
-		}
 	}
 	for name, lb := range o.LayerBudgets {
 		if math.IsNaN(lb) || lb < 0 || lb > 1 {
@@ -371,10 +370,8 @@ func ExploreNetworkContext(ctx context.Context, net models.Network, cfg hw.Confi
 // ScheduleLayer explores the configured pattern × tiling space for one
 // layer and returns the minimum-energy plan.
 func ScheduleLayer(l models.ConvLayer, cfg hw.Config, opts Options) (LayerPlan, error) {
-	if err := opts.Validate(); err != nil {
-		return LayerPlan{}, err
-	}
-	return scheduleLayer(l, cfg, opts)
+	lp, _, err := ExploreLayer(l, cfg, opts)
+	return lp, err
 }
 
 // ExploreLayer is ScheduleLayer with the search statistics exposed:
@@ -382,25 +379,20 @@ func ScheduleLayer(l models.ConvLayer, cfg hw.Config, opts Options) (LayerPlan, 
 // bounded, pruned and exactly priced. The verification harness's
 // strategy-differential oracle and the benchmarks consume the counters.
 func ExploreLayer(l models.ConvLayer, cfg hw.Config, opts Options) (LayerPlan, search.Stats, error) {
-	if err := opts.Validate(); err != nil {
+	if err := opts.check(); err != nil {
 		return LayerPlan{}, search.Stats{}, err
 	}
 	return exploreLayer(l, cfg, opts)
 }
 
-// scheduleLayer is ScheduleLayer without the options re-validation, for
-// callers that already validated once at the public entry point.
-func scheduleLayer(l models.ConvLayer, cfg hw.Config, opts Options) (LayerPlan, error) {
-	lp, _, err := exploreLayer(l, cfg, opts)
-	return lp, err
-}
-
 // exploreLayer runs one layer's exploration through the search engine
 // (or the legacy first-feasible loop in NaturalTiling mode) and returns
-// the chosen plan with the engine's work counters. The network compile
-// path resolves the environment once and calls exploreLayerEnv directly.
+// the chosen plan with the engine's work counters. Parsing the axes is
+// the specs' validation. The network compile path resolves the
+// environment once and calls exploreLayerEnv directly.
 func exploreLayer(l models.ConvLayer, cfg hw.Config, opts Options) (LayerPlan, search.Stats, error) {
-	env, err := envFor(opts)
+	var sc axisScratch
+	env, err := opts.parseAxes(&sc)
 	if err != nil {
 		return LayerPlan{}, search.Stats{}, err
 	}
@@ -470,52 +462,70 @@ func evaluatePoint(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.
 
 // evaluateCell characterizes and prices one full search cell — a
 // (pattern, tiling) candidate at one resolved (operating point,
-// traversal order, mapping policy): the single exact-pricing path every
-// strategy, baseline and axis combination goes through. The traversal
-// reshapes the analysis (lifetimes, DDR reloads); the mapping reshapes
-// the pricing table; defaults of both reproduce the pre-axis path bit
-// for bit.
+// traversal order, mapping policy). It is the stateless reference for
+// exact evaluation: the same two steps the search's evaluator
+// (exploreState.evaluateExact) runs, with no reuse between cells. The
+// traversal reshapes the analysis (lifetimes, DDR reloads); the mapping
+// reshapes the pricing table; defaults of both reproduce the pre-axis
+// path bit for bit.
 func evaluateCell(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, opts Options,
 	bk mem.Backend, pt mem.OperatingPoint, trv pattern.Traversal, mp MappingPolicy) (LayerPlan, error) {
 	var lp LayerPlan
-	if err := evaluateCellInto(&lp, l, k, t, cfg, opts, bk, pt, trv, mp); err != nil {
+	in := newCellInputs(&l, &cfg, &opts, bk)
+	if err := in.analyze(&lp, k, t, &pt, trv); err != nil {
 		return LayerPlan{}, err
 	}
+	priceCell(&lp, mp.Apply(pt.Table()), mp)
 	return lp, nil
 }
 
-// evaluateCellInto is evaluateCell writing into a caller-owned plan —
-// the form the search engine's scratch-Outcome contract needs on the
-// hot path, where returning the several-hundred-byte LayerPlan by
-// value dominated cold-compile profiles. Every LayerPlan field is
-// overwritten (Needs explicitly, since the refresh branch may not run),
-// so a reused *lp never leaks a previous candidate's state; on an error
-// *lp is unspecified.
-func evaluateCellInto(lp *LayerPlan, l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, opts Options,
-	bk mem.Backend, pt mem.OperatingPoint, trv pattern.Traversal, mp MappingPolicy) error {
-	a, err := pattern.AnalyzeTraversal(l, k, t, cfg, trv)
-	if err != nil {
+// cellInputs is what exact evaluation reads besides the candidate: one
+// layer's search inputs, read in place through pointers — passed by
+// value, the layer, config and options were block-copied on every call
+// — with the bank count and retention guard band hoisted.
+type cellInputs struct {
+	l     *models.ConvLayer
+	cfg   *hw.Config
+	opts  *Options
+	bk    mem.Backend
+	banks int
+	guard float64
+}
+
+func newCellInputs(l *models.ConvLayer, cfg *hw.Config, opts *Options, bk mem.Backend) cellInputs {
+	return cellInputs{l: l, cfg: cfg, opts: opts, bk: bk, banks: cfg.Banks(), guard: opts.guard()}
+}
+
+// analyze is the first step of exact evaluation: it analyzes one
+// (kind, tiling, operating point, traversal) coordinate into lp and
+// derives everything the mapping axis leaves untouched — the bank
+// allocation, the refresh flags and words, and the Eq. 14 counts. Every
+// LayerPlan field except Energy and Mapping is overwritten (Needs
+// explicitly, since the refresh branch may not run), so a reused *lp
+// never leaks a previous candidate's state; on an error *lp is
+// unspecified.
+func (in *cellInputs) analyze(lp *LayerPlan, k pattern.Kind, t pattern.Tiling, pt *mem.OperatingPoint, trv pattern.Traversal) error {
+	a := &lp.Analysis
+	if err := pattern.AnalyzeTraversalInto(a, in.l, k, t, in.cfg, trv); err != nil {
 		return err
 	}
-	lp.Analysis = a
 	lp.Point = mem.NormalizePoint(pt.Name)
 	lp.Traversal = traversalName(trv)
-	lp.Mapping = mappingName(mp)
-	lp.Alloc = memctrl.Allocate(a.BufferStorage, cfg.BankWords, cfg.Banks())
+	lp.Alloc = memctrl.Allocate(a.BufferStorage, in.cfg.BankWords, in.banks)
 	lp.Needs = memctrl.Needs{}
 	var refreshes uint64
-	if opts.Controller != nil && bk.Refreshes() {
+	if ctrl := in.opts.Controller; ctrl != nil && in.bk.Refreshes() {
 		// Refresh decisions keep a retention guard band: data is deemed
 		// refresh-free only when its lifetime clears the interval with
 		// margin, absorbing clock quantization and process variation.
 		// Reduced-voltage operating points shift the whole retention
 		// curve left (RetentionScale), so the schedule's interval — a
 		// point on that curve — scales identically.
-		interval := scaleInterval(opts.RefreshInterval, pt.RetentionScale)
-		guarded := time.Duration(float64(interval) * opts.guard())
+		interval := scaleInterval(in.opts.RefreshInterval, pt.RetentionScale)
+		guarded := time.Duration(float64(interval) * in.guard)
 		lp.Needs = memctrl.NeedsFor(a.Lifetimes, guarded)
-		refreshes = memctrl.RefreshWords(opts.Controller, a.ExecTime, interval,
-			lp.Alloc, lp.Needs, cfg.Banks(), cfg.BankWords)
+		refreshes = memctrl.RefreshWords(ctrl, a.ExecTime, interval,
+			lp.Alloc, lp.Needs, in.banks, in.cfg.BankWords)
 	}
 	lp.Counts = energy.Counts{
 		MACs:           a.MACs,
@@ -524,8 +534,17 @@ func evaluateCellInto(lp *LayerPlan, l models.ConvLayer, k pattern.Kind, t patte
 		DDRAccesses:    a.DDRTraffic.Total(),
 		BufferWrites:   a.BufferWrites,
 	}
-	lp.Energy = energy.SystemTable(lp.Counts, mp.Apply(pt.Table()))
 	return nil
+}
+
+// priceCell is the second step of exact evaluation: it prices an
+// analyzed coordinate under one mapping policy, given the policy's
+// derived pricing table (mp.Apply of the point's table). It writes only
+// Energy and Mapping, so every mapping cell of one coordinate prices
+// from the same first step.
+func priceCell(lp *LayerPlan, table energy.Table, mp MappingPolicy) {
+	lp.Mapping = mappingName(mp)
+	lp.Energy = energy.SystemTable(lp.Counts, table)
 }
 
 // scaleInterval scales a refresh interval by an operating point's

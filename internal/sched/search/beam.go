@@ -16,23 +16,11 @@ type scored struct {
 // first, later canonical position first on ties — exactly the candidate
 // a full beam evicts next, so the kept set (and therefore the beam's
 // result) is deterministic regardless of evaluation cost or timing.
-func worse(a, b scored) bool {
+func worse(a, b *scored) bool {
 	if a.bound != b.bound {
 		return a.bound > b.bound
 	}
-	if a.c.KindIdx != b.c.KindIdx {
-		return a.c.KindIdx > b.c.KindIdx
-	}
-	if a.c.TilingIdx != b.c.TilingIdx {
-		return a.c.TilingIdx > b.c.TilingIdx
-	}
-	if a.c.PointIdx != b.c.PointIdx {
-		return a.c.PointIdx > b.c.PointIdx
-	}
-	if a.c.TravIdx != b.c.TravIdx {
-		return a.c.TravIdx > b.c.TravIdx
-	}
-	return a.c.MapIdx > b.c.MapIdx
+	return canonicalBefore(&b.c, &a.c)
 }
 
 // beamHeap is a max-heap by worse — the root is the least promising
@@ -40,7 +28,7 @@ func worse(a, b scored) bool {
 type beamHeap []scored
 
 func (h beamHeap) Len() int           { return len(h) }
-func (h beamHeap) Less(i, j int) bool { return worse(h[i], h[j]) }
+func (h beamHeap) Less(i, j int) bool { return worse(&h[i], &h[j]) }
 func (h beamHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *beamHeap) Push(x any)        { *h = append(*h, x.(scored)) }
 func (h *beamHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
@@ -97,7 +85,7 @@ func beam[T any](p Problem[T], width, workers int) (Result[T], error) {
 						switch {
 						case len(kept) < width:
 							heap.Push(&kept, s)
-						case worse(kept[0], s):
+						case worse(&kept[0], &s):
 							kept[0] = s
 							heap.Fix(&kept, 0)
 							r.Stats.Pruned++
@@ -120,12 +108,12 @@ func beam[T any](p Problem[T], width, workers int) (Result[T], error) {
 		return Result[T]{}, firstErr
 	}
 	for i, s := range ordered {
-		out := outs[i]
+		out := &outs[i]
 		if !out.Feasible {
 			continue
 		}
-		if !r.Found || prefer(out.Energy, s.c, r.Outcome.Energy, r.Candidate) {
-			r.Found, r.Candidate, r.Outcome = true, s.c, out
+		if !r.Found || prefer(out.Energy, &s.c, r.Outcome.Energy, &r.Candidate) {
+			r.take(&s.c, out)
 		}
 	}
 	if !r.Found {
@@ -226,25 +214,8 @@ func priceOrdered[T any](p Problem[T], ordered []scored, workers int, stats *Sta
 // the input nearly unordered heap backing.
 func sortCanonical(xs []scored) {
 	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && canonicalBefore(xs[j].c, xs[j-1].c); j-- {
+		for j := i; j > 0 && canonicalBefore(&xs[j].c, &xs[j-1].c); j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// canonicalBefore reports whether a precedes b in canonical order.
-func canonicalBefore(a, b Candidate) bool {
-	if a.KindIdx != b.KindIdx {
-		return a.KindIdx < b.KindIdx
-	}
-	if a.TilingIdx != b.TilingIdx {
-		return a.TilingIdx < b.TilingIdx
-	}
-	if a.PointIdx != b.PointIdx {
-		return a.PointIdx < b.PointIdx
-	}
-	if a.TravIdx != b.TravIdx {
-		return a.TravIdx < b.TravIdx
-	}
-	return a.MapIdx < b.MapIdx
 }

@@ -235,8 +235,8 @@ func scanParallel[T any](p Problem[T], prune bool, workers int) (Result[T], erro
 										continue
 									}
 									c := Candidate{Kind: k, KindIdx: ki, Tiling: ta.t, TilingIdx: ta.ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}
-									if !local.Found || prefer(out.Energy, c, local.Outcome.Energy, local.Candidate) {
-										local.Found, local.Candidate, local.Outcome = true, c, *out
+									if !local.Found || prefer(out.Energy, &c, local.Outcome.Energy, &local.Candidate) {
+										local.improve(&c, out)
 									}
 									shared.tighten(out.Energy)
 								}
@@ -262,7 +262,7 @@ func scanParallel[T any](p Problem[T], prune bool, workers int) (Result[T], erro
 		if f == nil {
 			continue
 		}
-		if fail == nil || canonicalBefore(f.c, fail.c) {
+		if fail == nil || canonicalBefore(&f.c, &fail.c) {
 			fail = f
 		}
 	}
@@ -272,13 +272,20 @@ func scanParallel[T any](p Problem[T], prune bool, workers int) (Result[T], erro
 		if !l.Found {
 			continue
 		}
-		if !r.Found || prefer(l.Outcome.Energy, l.Candidate, r.Outcome.Energy, r.Candidate) {
-			r.Found, r.Candidate, r.Outcome = true, l.Candidate, l.Outcome
+		if !r.Found || prefer(l.Outcome.Energy, &l.Candidate, r.Outcome.Energy, &r.Candidate) {
+			r.improve(&l.Candidate, &l.Outcome)
 		}
 	}
 	r.Stats.Workers = workers
 	if fail != nil {
 		return Result[T]{}, fail.err
+	}
+	// The workers kept their incumbents by candidate and energy only;
+	// the winner's Value is priced once, here.
+	out := p.newOutcome()
+	defer p.freeOutcome(out)
+	if err := r.settle(p, out); err != nil {
+		return Result[T]{}, err
 	}
 	return r, nil
 }
@@ -327,13 +334,16 @@ func scanSlice[T any](p Problem[T], prune bool, admitted []tilingAt) (Result[T],
 							continue
 						}
 						c := Candidate{Kind: k, KindIdx: ki, Tiling: ta.t, TilingIdx: ta.ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}
-						if !r.Found || prefer(out.Energy, c, r.Outcome.Energy, r.Candidate) {
-							r.Found, r.Candidate, r.Outcome = true, c, *out
+						if !r.Found || prefer(out.Energy, &c, r.Outcome.Energy, &r.Candidate) {
+							r.improve(&c, out)
 						}
 					}
 				}
 			}
 		}
+	}
+	if err := r.settle(p, out); err != nil {
+		return Result[T]{}, err
 	}
 	return r, nil
 }

@@ -214,6 +214,18 @@ type Problem[T any] struct {
 	// T is the scheduler's several-hundred-byte LayerPlan: returning it
 	// by value put a duffcopy on every exact evaluation, the single
 	// hottest instruction in a cold compile.
+	//
+	// Evaluate must be deterministic: a scan keeps only its incumbent's
+	// candidate and energy while it runs, and prices the winner once
+	// more at the end for its Value.
+	//
+	// Between calls the engine only reads *out, never writes it: a
+	// scratch Outcome handed to Evaluate holds exactly what the previous
+	// call on it left there (or what NewOutcome returned, before the
+	// first call). Evaluate may therefore keep state in the Value for
+	// reuse across calls — the scheduler keeps one coordinate's analysis
+	// for the mapping cells that follow it — provided it validates that
+	// state on every call: the engine promises nothing about call order.
 	Evaluate func(k pattern.Kind, t pattern.Tiling, cell Cell, out *Outcome[T]) error
 	// NewOutcome / FreeOutcome, when non-nil, lease the per-goroutine
 	// scratch Outcome the engine passes to Evaluate. The engine cannot
@@ -317,6 +329,43 @@ type Result[T any] struct {
 	Stats     Stats
 }
 
+// take makes candidate c with outcome *o the incumbent, Value and all.
+// One store per field: a tuple assignment stages the several-hundred-
+// byte Outcome through a temporary, a second block copy.
+func (r *Result[T]) take(c *Candidate, o *Outcome[T]) {
+	r.Found = true
+	r.Candidate = *c
+	r.Outcome = *o
+}
+
+// improve makes candidate c, priced at *o, the incumbent by candidate,
+// feasibility and energy only — all a scan compares and prunes against.
+// The Value stays behind: in a pruned scan nearly every priced
+// candidate improves, and copying the scheduler's several-hundred-byte
+// plan each time cost a quarter of a compile. settle fills it in.
+func (r *Result[T]) improve(c *Candidate, o *Outcome[T]) {
+	r.Found = true
+	r.Candidate = *c
+	r.Outcome.Feasible = o.Feasible
+	r.Outcome.Energy = o.Energy
+}
+
+// settle completes an incumbent kept by improve: it prices the winning
+// candidate once more into the scratch out and takes its Value.
+// Evaluate is deterministic (see Problem.Evaluate), so the second
+// pricing reproduces the first exactly; it is not counted as work.
+func (r *Result[T]) settle(p Problem[T], out *Outcome[T]) error {
+	if !r.Found {
+		return nil
+	}
+	c := r.Candidate
+	if err := p.Evaluate(c.Kind, c.Tiling, c.Cell(), out); err != nil {
+		return err
+	}
+	r.Outcome = *out
+	return nil
+}
+
 // Run explores the problem under the options' strategy and returns the
 // minimum-energy feasible candidate in the canonical preference order.
 func Run[T any](p Problem[T], o Options) (Result[T], error) {
@@ -351,23 +400,33 @@ func Run[T any](p Problem[T], o Options) (Result[T], error) {
 // compare last, newest-axis last of all: on single-valued axes they
 // never differ, so each historical tie-break is preserved bit-for-bit
 // as axes accrete.
-func prefer(e float64, c Candidate, be float64, bc Candidate) bool {
+//
+// Candidates are compared through pointers: passed by value, the two
+// copies cost more than the comparison on every priced candidate.
+func prefer(e float64, c *Candidate, be float64, bc *Candidate) bool {
 	if e != be {
 		return e < be
 	}
-	if c.KindIdx != bc.KindIdx {
-		return c.KindIdx < bc.KindIdx
+	return canonicalBefore(c, bc)
+}
+
+// canonicalBefore reports whether a precedes b in canonical order:
+// lexicographic (kind index, tiling index, point index, traversal
+// index, mapping index).
+func canonicalBefore(a, b *Candidate) bool {
+	if a.KindIdx != b.KindIdx {
+		return a.KindIdx < b.KindIdx
 	}
-	if c.TilingIdx != bc.TilingIdx {
-		return c.TilingIdx < bc.TilingIdx
+	if a.TilingIdx != b.TilingIdx {
+		return a.TilingIdx < b.TilingIdx
 	}
-	if c.PointIdx != bc.PointIdx {
-		return c.PointIdx < bc.PointIdx
+	if a.PointIdx != b.PointIdx {
+		return a.PointIdx < b.PointIdx
 	}
-	if c.TravIdx != bc.TravIdx {
-		return c.TravIdx < bc.TravIdx
+	if a.TravIdx != b.TravIdx {
+		return a.TravIdx < b.TravIdx
 	}
-	return c.MapIdx < bc.MapIdx
+	return a.MapIdx < b.MapIdx
 }
 
 // scan is the shared exhaustive / branch-and-bound loop: one streaming
@@ -424,13 +483,16 @@ func scan[T any](p Problem[T], prune bool) (Result[T], error) {
 							continue
 						}
 						c := Candidate{Kind: k, KindIdx: ki, Tiling: t, TilingIdx: ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}
-						if !r.Found || prefer(out.Energy, c, r.Outcome.Energy, r.Candidate) {
-							r.Found, r.Candidate, r.Outcome = true, c, *out
+						if !r.Found || prefer(out.Energy, &c, r.Outcome.Energy, &r.Candidate) {
+							r.improve(&c, out)
 						}
 					}
 				}
 			}
 		}
+	}
+	if err := r.settle(p, out); err != nil {
+		return Result[T]{}, err
 	}
 	return r, nil
 }

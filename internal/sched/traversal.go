@@ -32,8 +32,9 @@ import (
 // MaxTraversalBlocks bounds the blocked-traversal stage count the spec
 // grammar accepts. The 2nd-level loop extents of real layers are at most
 // a few thousand; beyond that the per-stage spans collapse to single
-// iterations and the axis only duplicates work.
-const MaxTraversalBlocks = 64
+// iterations and the axis only duplicates work. Every accepted count has
+// a precomputed name (pattern.Traversal.String).
+const MaxTraversalBlocks = pattern.MaxTraversalBlocks
 
 // DefaultTraversalName is the canonical spelling of the default
 // traversal axis value (the unmodified Fig. 10 nest).
@@ -126,18 +127,27 @@ func MappingByName(name string) (MappingPolicy, bool) {
 // "blockedN" adds one RTC stage count next to linear; "rtc" expands to
 // the blocked ladder {2, 4, 8}.
 func ParseTraversalSpec(spec string) ([]pattern.Traversal, error) {
-	axis := []pattern.Traversal{pattern.Linear}
-	if spec == "" {
-		return axis, nil
-	}
-	seen := map[pattern.Traversal]bool{pattern.Linear: true}
+	return appendTraversalSpec(nil, spec)
+}
+
+// appendTraversalSpec is ParseTraversalSpec appending the axis to dst —
+// caller scratch, so a compile resolves its axis without allocating. The
+// spec is scanned item by item in place and duplicates are dropped by a
+// linear scan of the (at most 64-entry) axis built so far.
+func appendTraversalSpec(dst []pattern.Traversal, spec string) ([]pattern.Traversal, error) {
+	start := len(dst)
+	dst = append(dst, pattern.Linear)
 	add := func(tr pattern.Traversal) {
-		if !seen[tr] {
-			seen[tr] = true
-			axis = append(axis, tr)
+		for _, have := range dst[start:] {
+			if have == tr {
+				return
+			}
 		}
+		dst = append(dst, tr)
 	}
-	for _, item := range strings.Split(spec, ",") {
+	for rest, more := spec, spec != ""; more; {
+		var item string
+		item, rest, more = strings.Cut(rest, ",")
 		item = strings.TrimSpace(item)
 		switch {
 		case item == DefaultTraversalName:
@@ -156,7 +166,7 @@ func ParseTraversalSpec(spec string) ([]pattern.Traversal, error) {
 			return nil, fmt.Errorf("sched: unknown traversal %q (want %q, \"rtc\" or \"blocked<n>\")", item, DefaultTraversalName)
 		}
 	}
-	return axis, nil
+	return dst, nil
 }
 
 // ParseMappingSpec parses a mapping-axis spec into the policies the
@@ -170,18 +180,26 @@ func ParseTraversalSpec(spec string) ([]pattern.Traversal, error) {
 // "" and "row-major" select the default-only axis; "all" expands to
 // every registered policy.
 func ParseMappingSpec(spec string) ([]MappingPolicy, error) {
-	axis := []MappingPolicy{RowMajorMapping}
-	if spec == "" {
-		return axis, nil
-	}
-	seen := map[string]bool{DefaultMappingName: true}
+	return appendMappingSpec(nil, spec)
+}
+
+// appendMappingSpec is ParseMappingSpec appending the axis to dst, by
+// the same in-place scan and linear deduplication as
+// appendTraversalSpec.
+func appendMappingSpec(dst []MappingPolicy, spec string) ([]MappingPolicy, error) {
+	start := len(dst)
+	dst = append(dst, RowMajorMapping)
 	add := func(m MappingPolicy) {
-		if !seen[m.Name] {
-			seen[m.Name] = true
-			axis = append(axis, m)
+		for _, have := range dst[start:] {
+			if have.Name == m.Name {
+				return
+			}
 		}
+		dst = append(dst, m)
 	}
-	for _, item := range strings.Split(spec, ",") {
+	for rest, more := spec, spec != ""; more; {
+		var item string
+		item, rest, more = strings.Cut(rest, ",")
 		item = strings.TrimSpace(item)
 		if item == "all" {
 			for _, m := range mappingPolicies {
@@ -195,7 +213,7 @@ func ParseMappingSpec(spec string) ([]MappingPolicy, error) {
 		}
 		add(m)
 	}
-	return axis, nil
+	return dst, nil
 }
 
 // CanonicalTraversalSpec reduces a traversal spec to its canonical
@@ -209,11 +227,7 @@ func CanonicalTraversalSpec(spec string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	parts := make([]string, 0, len(axis)-1)
-	for _, tr := range axis[1:] {
-		parts = append(parts, tr.String())
-	}
-	return strings.Join(parts, ","), nil
+	return string(appendCanonicalTraversals(nil, axis)), nil
 }
 
 // CanonicalMappingSpec is CanonicalTraversalSpec for the mapping axis.
@@ -222,11 +236,31 @@ func CanonicalMappingSpec(spec string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	parts := make([]string, 0, len(axis)-1)
-	for _, m := range axis[1:] {
-		parts = append(parts, m.Name)
+	return string(appendCanonicalMappings(nil, axis)), nil
+}
+
+// appendCanonicalTraversals appends a parsed axis's canonical spelling
+// (CanonicalTraversalSpec) to dst.
+func appendCanonicalTraversals(dst []byte, axis []pattern.Traversal) []byte {
+	for i, tr := range axis[1:] {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, tr.String()...)
 	}
-	return strings.Join(parts, ","), nil
+	return dst
+}
+
+// appendCanonicalMappings is appendCanonicalTraversals for the mapping
+// axis.
+func appendCanonicalMappings(dst []byte, axis []MappingPolicy) []byte {
+	for i, m := range axis[1:] {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, m.Name...)
+	}
+	return dst
 }
 
 // traversalName is the per-layer plan spelling of a chosen traversal:

@@ -29,6 +29,25 @@ func TestCompareParallelismOnZoo(t *testing.T) {
 	}
 }
 
+// TestCompareParallelismOnZooAxesOpen is the zoo check with the
+// traversal and mapping axes open, at parallelism 1, 2 and 4: each
+// worker's scratch Outcome carries its own reuse state, so plans must
+// stay byte-identical to the sequential exhaustive reference.
+func TestCompareParallelismOnZooAxesOpen(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	for _, net := range models.Benchmarks() {
+		t.Run(net.Name, func(t *testing.T) {
+			r, err := CompareParallelism(net, cfg, axesOpenOptions(), 1, 2, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.OK() {
+				t.Error(r)
+			}
+		})
+	}
+}
+
 // TestCompareParallelismOnGeneratedNetworks exercises the error-agreement
 // arm: unschedulable random layers must be rejected identically at every
 // parallelism level and memo mode.

@@ -42,6 +42,30 @@ func TestCompareStrategiesOnZoo(t *testing.T) {
 	}
 }
 
+// axesOpenOptions are zooOptions with the RTC traversal ladder and every
+// data mapping open: the search where the exact evaluator prices each
+// mapping cell from its coordinate's shared analysis.
+func axesOpenOptions() sched.Options {
+	o := zooOptions()
+	o.Traversal, o.Mapping = "rtc", "all"
+	return o
+}
+
+func TestCompareStrategiesOnZooAxesOpen(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	for _, net := range models.Benchmarks() {
+		t.Run(net.Name, func(t *testing.T) {
+			r, err := CompareStrategies(net, cfg, axesOpenOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.OK() {
+				t.Error(r)
+			}
+		})
+	}
+}
+
 func TestCompareStrategiesOnGeneratedNetworks(t *testing.T) {
 	// Small random networks over random accelerators: some layers are
 	// unschedulable on the drawn config, which exercises the oracle's
