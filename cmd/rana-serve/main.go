@@ -160,6 +160,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, format+"\n", args...)
 	}
+	// Under -quiet the server gets no Logf at all, so it never builds a
+	// log line it would throw away.
+	serverLogf := logf
+	if *quiet {
+		serverLogf = nil
+	}
 	srv := serve.New(serve.Config{
 		Addr:             *addr,
 		Workers:          *workers,
@@ -179,11 +185,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		ShardID:          *shardID,
 		JobCapacity:      *jobCap,
 		AllowedBackends:  allowedBackends,
-		Logf: func(format string, args ...any) {
-			if !*quiet {
-				logf(format, args...)
-			}
-		},
+		Logf:             serverLogf,
 	})
 
 	// Signals are registered before the address is announced so no

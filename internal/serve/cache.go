@@ -9,34 +9,67 @@ package serve
 // the race tests assert and clients may rely on (e.g. for their own
 // content-addressed stores).
 //
+// The LRU also carries a secondary index, the body alias: the digests
+// of request bodies that resolved to an entry's key, so a repeat of the
+// same bytes reaches the entry without decoding, resolving or hashing
+// the canonical form again. An entry holds at most maxAliases digests
+// (the oldest is replaced) and its digests die with it, so the index is
+// bounded by the LRU in entries and in bytes.
+//
 // Both structures are stdlib-only: container/list for the LRU,
 // sync.Cond-free channel signaling for the flight group.
 
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime/debug"
 	"sync"
 )
 
+// maxAliases bounds the body digests one LRU entry keeps. Spellings of
+// one request beyond a few (named vs. spelled-out network, field order,
+// whitespace) are rare; an overflowing spelling only loses its shortcut.
+const maxAliases = 4
+
+// aliasKey identifies a request body on one endpoint: the endpoint name
+// and the SHA-256 of the raw bytes.
+type aliasKey struct {
+	endpoint string
+	sum      [sha256.Size]byte
+}
+
+// aliasRef is what a body digest resolved to: the LRU entry, and the
+// ladder rung whose counters a hit replays.
+type aliasRef struct {
+	el   *list.Element
+	rung rung
+}
+
 // lru is a mutex-guarded bounded LRU map of response bodies.
 type lru struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recently used; values are *lruEntry
-	items map[string]*list.Element
+	mu      sync.Mutex
+	max     int
+	order   *list.List // front = most recently used; values are *lruEntry
+	items   map[string]*list.Element
+	aliases map[aliasKey]aliasRef
 }
 
 type lruEntry struct {
 	key  string
 	body []byte
+	// aliases are the body digests resolved to key, written round-robin:
+	// slot nalias%maxAliases is the next (and, once full, the oldest).
+	aliases [maxAliases]aliasKey
+	nalias  int
 }
 
 // newLRU returns an LRU holding up to max entries (max <= 0 disables
 // caching entirely).
 func newLRU(max int) *lru {
-	return &lru{max: max, order: list.New(), items: make(map[string]*list.Element)}
+	return &lru{max: max, order: list.New(), items: make(map[string]*list.Element),
+		aliases: make(map[aliasKey]aliasRef)}
 }
 
 // Get returns the cached body and promotes the entry.
@@ -66,10 +99,64 @@ func (c *lru) Add(key string, body []byte) {
 	}
 	c.items[key] = c.order.PushFront(&lruEntry{key: key, body: body})
 	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+		c.unlink(c.order.Back())
 	}
+}
+
+// unlink drops an entry and every body digest resolved to it.
+func (c *lru) unlink(el *list.Element) {
+	e := el.Value.(*lruEntry)
+	c.order.Remove(el)
+	delete(c.items, e.key)
+	for _, d := range e.aliases[:min(e.nalias, maxAliases)] {
+		delete(c.aliases, d)
+	}
+}
+
+// Alias records that the body digest d resolved to key on rung r. It is
+// a no-op unless key is cached: the digest lives exactly as long as the
+// entry it points at.
+func (c *lru) Alias(d aliasKey, key string, r rung) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	if _, dup := c.aliases[d]; dup {
+		// Resolution is a pure function of the body, so a registered
+		// digest already points at this very entry.
+		return
+	}
+	e := el.Value.(*lruEntry)
+	slot := e.nalias % maxAliases
+	if e.nalias >= maxAliases {
+		delete(c.aliases, e.aliases[slot])
+	}
+	e.aliases[slot] = d
+	e.nalias++
+	c.aliases[d] = aliasRef{el: el, rung: r}
+}
+
+// GetAlias returns the entry a body digest resolved to, promoting it
+// like Get.
+func (c *lru) GetAlias(d aliasKey) (key string, body []byte, r rung, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ref, ok := c.aliases[d]
+	if !ok {
+		return "", nil, 0, false
+	}
+	c.order.MoveToFront(ref.el)
+	e := ref.el.Value.(*lruEntry)
+	return e.key, e.body, ref.rung, true
+}
+
+// AliasLen returns the number of body digests indexed.
+func (c *lru) AliasLen() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.aliases)
 }
 
 // Remove drops an entry if present, reporting whether it existed. The
@@ -83,8 +170,7 @@ func (c *lru) Remove(key string) bool {
 	if !ok {
 		return false
 	}
-	c.order.Remove(el)
-	delete(c.items, key)
+	c.unlink(el)
 	return true
 }
 

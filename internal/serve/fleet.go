@@ -56,8 +56,7 @@ func (s *Server) routedCached(ctx context.Context, path string, raw []byte, forw
 	// Local tiers first: a previously forwarded (and locally remembered)
 	// plan needs no network hop.
 	if body, ok := s.cache.Get(key); ok {
-		s.m.CacheHits.Add(1)
-		return &response{body: body, key: key, source: "hit"}, nil
+		return s.cacheHit(key, body), nil
 	}
 	if s.cfg.Store != nil {
 		if body, ok := s.cfg.Store.Get(key); ok {
@@ -78,7 +77,7 @@ func (s *Server) routedCached(ctx context.Context, path string, raw []byte, forw
 	// The owner is unreachable or overloaded: degrade to local
 	// computation rather than failing the request.
 	s.m.ForwardFails.Add(1)
-	s.cfg.Logf("ranad: forward %s to %s (%s) failed: %v; computing locally", key, owner.ID, owner.URL, err)
+	s.logf("ranad: forward %s to %s (%s) failed: %v; computing locally", key, owner.ID, owner.URL, err)
 	return s.cachedMode(ctx, key, wait, compute)
 }
 

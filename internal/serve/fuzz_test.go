@@ -58,20 +58,28 @@ func TestHostileBodiesAlwaysClientError(t *testing.T) {
 		strings.Repeat(`{"name": "l", "n": 1, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1},`, maxCustomLayers) +
 		`{"name": "l", "n": 1, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1}]}}`
 
+	// A valid request padded past the limit with whitespace: the bytes
+	// beyond it (here trailing garbage) must not be silently dropped.
+	garbage := `{"model":"AlexNet","accelerator":"test"}` + "garbage"
+	padded := `{"model":"AlexNet","accelerator":"test"}` + strings.Repeat(" ", maxRequestBytes) + "garbage"
+
 	cases := []struct {
 		name, body string
+		status     int // 0: any 4xx
 	}{
-		{"empty body", ``},
-		{"not json", `this is not json`},
-		{"truncated", `{"network": {"name": "x", "lay`},
-		{"null", `null` /* decodes to a zero request; rejected by resolve */},
-		{"array", `[1,2,3]`},
-		{"wrong type", `{"model": {"nested": true}}`},
-		{"deep nesting", strings.Repeat(`{"network":`, 5000) + `1` + strings.Repeat(`}`, 5000)},
-		{"oversized", oversized},
-		{"too many layers", manyLayers},
-		{"negative deadline", `{"model": "AlexNet", "deadline_ms": -5}`},
-		{"huge ints", `{"network": {"name": "x", "layers": [{"name": "l", "n": 999999999999999999999999, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1}]}}`},
+		{"empty body", ``, 0},
+		{"not json", `this is not json`, 0},
+		{"truncated", `{"network": {"name": "x", "lay`, 0},
+		{"null", `null` /* decodes to a zero request; rejected by resolve */, 0},
+		{"array", `[1,2,3]`, 0},
+		{"wrong type", `{"model": {"nested": true}}`, 0},
+		{"deep nesting", strings.Repeat(`{"network":`, 5000) + `1` + strings.Repeat(`}`, 5000), 0},
+		{"oversized", oversized, http.StatusRequestEntityTooLarge},
+		{"trailing garbage", garbage, http.StatusBadRequest},
+		{"padded past the limit", padded, http.StatusRequestEntityTooLarge},
+		{"too many layers", manyLayers, 0},
+		{"negative deadline", `{"model": "AlexNet", "deadline_ms": -5}`, 0},
+		{"huge ints", `{"network": {"name": "x", "layers": [{"name": "l", "n": 999999999999999999999999, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1}]}}`, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,6 +101,9 @@ func TestHostileBodiesAlwaysClientError(t *testing.T) {
 				body := readBody(t, resp)
 				if resp.StatusCode < 400 || resp.StatusCode > 499 {
 					t.Fatalf("status %d outside 4xx: %s", resp.StatusCode, body)
+				}
+				if tc.status != 0 && resp.StatusCode != tc.status {
+					t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, body)
 				}
 				var e struct {
 					Error string `json:"error"`

@@ -98,20 +98,33 @@ func planFaulty(plan *sched.Plan) bool {
 	return false
 }
 
+// rung is the degradation-ladder rung a /v1/schedule request resolved
+// to; fullRung is every request the ladder served in full. The two
+// degraded rungs have their own key op strings, so the rung is a
+// function of the cache key.
+type rung uint8
+
+const (
+	fullRung rung = iota
+	// degradedRung: the deadline was below the degrade budget, so the
+	// uniform fallback schedule was served.
+	degradedRung
+	// budgetFallbackRung: a pinned point broke a per-layer error budget
+	// and the nominal corner was substituted.
+	budgetFallbackRung
+)
+
 // work is one prepared keyed computation: the canonical cache key, the
-// request's explicit deadline (0 = none), whether the degradation
-// ladder bottomed out, and the computation itself. The sync handlers
-// and the async batch entries share this form — a batch entry is
-// exactly a sync request minus the held HTTP connection, so preparing
-// both through one path keeps their bytes identical by construction.
+// request's explicit deadline (0 = none), the ladder rung, and the
+// computation itself. The sync handlers and the async batch entries
+// share this form — a batch entry is exactly a sync request minus the
+// held HTTP connection, so preparing both through one path keeps their
+// bytes identical by construction.
 type work struct {
 	key      string
 	deadline time.Duration
-	degraded bool
-	// budgetFallback marks the error-budget rung: a pinned point broke a
-	// per-layer budget and the nominal corner was substituted.
-	budgetFallback bool
-	compute        func(ctx context.Context) ([]byte, error)
+	rung     rung
+	compute  func(ctx context.Context) ([]byte, error)
 }
 
 // prepareSchedule resolves a ScheduleRequest into its work: validation,
@@ -153,7 +166,7 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 		pinned := req.Options != nil && req.Options.Search != ""
 		switch {
 		case s.cfg.DegradeBudget > 0 && w.deadline < s.cfg.DegradeBudget:
-			w.degraded = true
+			w.rung = degradedRung
 			opts = opts.Fallback()
 		case s.cfg.BeamBudget > 0 && w.deadline < s.cfg.BeamBudget && !pinned:
 			opts.Search = search.Beam
@@ -176,10 +189,10 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 		// degraded to the backend's nominal corner, not failed — the
 		// client asked for a plan, and the safe corner is always
 		// admissible.
-		if opts.OperatingPoint != "" && !w.degraded {
+		if opts.OperatingPoint != "" && w.rung != degradedRung {
 			for _, l := range net.Layers {
 				if _, _, lerr := sched.ResolveBackendForLayer(cfg, opts, l.Name); lerr != nil {
-					w.budgetFallback = true
+					w.rung = budgetFallbackRung
 					opts.OperatingPoint = mem.Nominal
 					break
 				}
@@ -196,16 +209,15 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	}
 	opts.Memo = s.memo
 	opts.Prefix = s.prefix
-	switch {
-	case w.degraded:
+	switch w.rung {
+	case degradedRung:
 		w.key = scheduleDegradedKey(net, cfg, opts)
-	case w.budgetFallback:
+	case budgetFallbackRung:
 		w.key = scheduleBudgetFallbackKey(net, cfg, opts)
 	default:
 		w.key = scheduleKey(net, cfg, opts)
 	}
-	degraded := w.degraded
-	budgetFallback := w.budgetFallback
+	rung := w.rung
 	w.compute = func(ctx context.Context) ([]byte, error) {
 		s.m.computed(search.EffectiveParallelism(opts.Parallelism))
 		plan, err := s.scheduleFn(ctx, net, cfg, opts)
@@ -222,11 +234,11 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 			Controller:        controller,
 			Plan:              sched.Encode(plan),
 		}
-		switch {
-		case degraded:
+		switch rung {
+		case degradedRung:
 			resp.Degraded = true
 			resp.DegradedReason = degradedReason
-		case budgetFallback:
+		case budgetFallbackRung:
 			// The budget rung ran the full search (at the nominal corner),
 			// so Search is still reported alongside the degraded marker.
 			resp.Degraded = true
@@ -259,14 +271,11 @@ func (s *Server) handleSchedule(ctx context.Context, r *http.Request) (*response
 	}
 	raw, forwarded := routeInputs(ctx)
 	resp, err := s.routedCached(ctx, "/v1/schedule", raw, forwarded, w.key, false, w.compute)
-	if err == nil && w.degraded {
-		s.m.Degraded.Add(1)
+	if err != nil {
+		return nil, err
 	}
-	if err == nil && w.budgetFallback {
-		s.m.Degraded.Add(1)
-		s.m.BudgetRejections.Add(1)
-	}
-	return resp, err
+	resp.rung = w.rung
+	return resp, nil
 }
 
 // CompileResponse is the /v1/compile response body: the Stage 1
@@ -585,7 +594,7 @@ func catalogTraversals() map[string]any {
 // searched over, and every benchmark's derived per-layer budgets.
 func catalogResilience() map[string]any {
 	perModel := map[string]map[string]float64{}
-	for _, net := range models.Benchmarks() {
+	for _, net := range zoo {
 		budgets, err := training.LayerTolerableRates(net.Name, layerNames(net), admissionConstraint, training.PaperRates)
 		if err != nil {
 			continue // a benchmark without a calibrated curve is simply not listed

@@ -305,7 +305,7 @@ func (s *Server) runJobEntry(ctx context.Context, j *job, e *jobEntry) {
 	resp, err := s.guard("job-entry", func() (*response, error) {
 		return s.routedCached(ctx, e.path, e.raw, false, e.work.key, true, e.work.compute)
 	})
-	if err == nil && e.work.degraded {
+	if err == nil && e.work.rung == degradedRung {
 		s.m.Degraded.Add(1)
 	}
 	s.settleEntry(j, e, resp, err)

@@ -24,6 +24,7 @@ type metrics struct {
 	Requests    expvar.Int // total requests admitted to API handlers
 	Errors      expvar.Int // responses with status >= 400
 	CacheHits   expvar.Int // responses served from the plan cache
+	AliasHits   expvar.Int // cache hits reached by body digest (a subset of CacheHits)
 	CacheMisses expvar.Int // responses that ran a computation
 	Deduped     expvar.Int // responses that joined an in-flight computation
 	InFlight    expvar.Int // currently executing API requests
@@ -120,6 +121,7 @@ func (m *metrics) expvarMap() *expvar.Map {
 	em.Set("requests", &m.Requests)
 	em.Set("errors", &m.Errors)
 	em.Set("cache_hits", &m.CacheHits)
+	em.Set("alias_hits", &m.AliasHits)
 	em.Set("cache_misses", &m.CacheMisses)
 	em.Set("deduped", &m.Deduped)
 	em.Set("in_flight", &m.InFlight)

@@ -12,6 +12,7 @@ package serve
 // cache key.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -193,6 +194,24 @@ func badRequest(format string, args ...any) *apiError {
 	return &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
+// bufferBody buffers a request body of at most maxRequestBytes. A longer
+// body is a 413, never truncated: the bytes past the limit are part of
+// the request, and silently dropping them would answer a different one.
+func bufferBody(r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxRequestBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxRequestBytes+1)); err != nil {
+		return nil, badRequest("reading request body: %v", err)
+	}
+	if buf.Len() > maxRequestBytes {
+		return nil, &apiError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes)}
+	}
+	return buf.Bytes(), nil
+}
+
 // decodeJSON strictly parses a request body into dst.
 func decodeJSON(r *http.Request, dst any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
@@ -208,13 +227,19 @@ func decodeJSON(r *http.Request, dst any) error {
 	return nil
 }
 
+// zoo is the benchmark networks, built once. Resolved networks share
+// its Layers slices, so nothing downstream of resolution may write to a
+// network's layers (TestZooTableStaysPristine holds every endpoint to
+// that).
+var zoo = models.Benchmarks()
+
 // resolveNetwork maps (model, spec) onto a validated models.Network.
 func resolveNetwork(model string, spec *NetworkSpec) (models.Network, error) {
 	switch {
 	case model != "" && spec != nil:
 		return models.Network{}, badRequest(`set "model" or "network", not both`)
 	case model != "":
-		for _, n := range models.Benchmarks() {
+		for _, n := range zoo {
 			if n.Name == model {
 				return n, nil
 			}
@@ -246,26 +271,24 @@ func resolveNetwork(model string, spec *NetworkSpec) (models.Network, error) {
 
 func benchmarkNames() []string {
 	var names []string
-	for _, n := range models.Benchmarks() {
+	for _, n := range zoo {
 		names = append(names, n.Name)
 	}
 	return names
 }
 
 // builtinConfigs are the named accelerator configurations the API
-// accepts.
-func builtinConfigs() map[string]hw.Config {
-	return map[string]hw.Config{
-		"test":       hw.TestAccelerator(),
-		"test-edram": hw.TestAcceleratorEDRAM(),
-		"dadiannao":  hw.DaDianNao(),
-		"eyeriss":    hw.EyerissLike(),
-	}
+// accepts. hw.Config is a plain value, so lookups hand out copies.
+var builtinConfigs = map[string]hw.Config{
+	"test":       hw.TestAccelerator(),
+	"test-edram": hw.TestAcceleratorEDRAM(),
+	"dadiannao":  hw.DaDianNao(),
+	"eyeriss":    hw.EyerissLike(),
 }
 
 func builtinConfigNames() []string {
 	var names []string
-	for name := range builtinConfigs() {
+	for name := range builtinConfigs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -315,7 +338,7 @@ func resolveConfig(accelerator string, spec *ConfigSpec) (hw.Config, error) {
 		if name == "" {
 			name = "test-edram"
 		}
-		cfg, ok := builtinConfigs()[name]
+		cfg, ok := builtinConfigs[name]
 		if !ok {
 			return hw.Config{}, badRequest("unknown accelerator %q (want one of %v)", name, builtinConfigNames())
 		}

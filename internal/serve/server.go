@@ -20,6 +20,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -144,7 +145,8 @@ type Config struct {
 	// clients. Empty allows every registered backend.
 	AllowedBackends []string
 
-	// Logf receives request logs; nil discards them.
+	// Logf receives request logs; nil discards them without building
+	// the log line.
 	Logf func(format string, args ...any)
 }
 
@@ -185,9 +187,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobCapacity < 0 {
 		c.JobCapacity = 0
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -303,11 +302,12 @@ func New(cfg Config) *Server {
 			n++
 			return nil
 		}); err != nil {
-			cfg.Logf("ranad: warm-fill from %s stopped: %v", cfg.Store.Path(), err)
+			s.logf("ranad: warm-fill from %s stopped: %v", cfg.Store.Path(), err)
 		}
-		cfg.Logf("ranad: warm-filled %d plans from %s", n, cfg.Store.Path())
+		s.logf("ranad: warm-filled %d plans from %s", n, cfg.Store.Path())
 	}
 	vars := s.m.expvarMap()
+	vars.Set("alias_entries", expvar.Func(func() any { return s.cache.AliasLen() }))
 	if cfg.Ring != nil {
 		vars.Set("shard_id", expvar.Func(func() any { return s.self.ID }))
 		vars.Set("ring_nodes", expvar.Func(func() any { return cfg.Ring.Len() }))
@@ -348,12 +348,12 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.counted("healthz", s.handleHealthz))
 	mux.HandleFunc("/metrics", s.counted("metrics", s.handleMetrics))
-	mux.Handle("/v1/schedule", s.api("schedule", s.handleSchedule))
-	mux.Handle("/v1/compile", s.api("compile", s.handleCompile))
-	mux.Handle("/v1/evaluate", s.api("evaluate", s.handleEvaluate))
+	mux.Handle("/v1/schedule", s.api("schedule", true, s.handleSchedule))
+	mux.Handle("/v1/compile", s.api("compile", true, s.handleCompile))
+	mux.Handle("/v1/evaluate", s.api("evaluate", true, s.handleEvaluate))
 	mux.HandleFunc("/v1/catalog", s.counted("catalog", s.handleCatalog))
 	if s.jobs != nil {
-		mux.Handle("/v1/compile-batch", s.api("compile_batch", s.handleCompileBatch))
+		mux.Handle("/v1/compile-batch", s.api("compile_batch", false, s.handleCompileBatch))
 		mux.HandleFunc("/v1/jobs/", s.handleJob)
 	}
 	return mux
@@ -371,7 +371,7 @@ func (s *Server) ListenAndServe() error {
 // Serve serves on ln until Shutdown. Like http.Server.Serve it returns
 // http.ErrServerClosed after a clean shutdown.
 func (s *Server) Serve(ln net.Listener) error {
-	s.cfg.Logf("ranad: serving on %s", ln.Addr())
+	s.logf("ranad: serving on %s", ln.Addr())
 	return s.httpSrv.Serve(ln)
 }
 
@@ -386,9 +386,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // api wraps an endpoint handler with the service middleware: method
-// gating, per-request timeout, panic isolation, metrics accounting and
-// logging.
-func (s *Server) api(name string, h func(ctx context.Context, r *http.Request) (*response, error)) http.Handler {
+// gating, the body limit, the body alias, per-request timeout, panic
+// isolation, metrics accounting and logging.
+//
+// With alias set, a body whose exact bytes already resolved to a cached
+// key is answered from the LRU by digest, skipping decode, resolution
+// and the canonical hash. That is sound because resolution — every
+// check, default and ladder rung between the bytes and the key — is a
+// pure function of (endpoint, body, the server's Config), and Config is
+// fixed at New. Only a keyed 200 registers a digest, so a body that
+// failed once takes the full path, and fails the same way, every time.
+// An alias hit replays every side effect of the full-path hit it stands
+// for: the same counters (via cacheHit and served), the same latency
+// observation, panic isolation and log line.
+func (s *Server) api(name string, alias bool, h func(ctx context.Context, r *http.Request) (*response, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
@@ -402,40 +413,107 @@ func (s *Server) api(name string, h func(ctx context.Context, r *http.Request) (
 		defer func() { s.m.observe(time.Since(start)) }()
 
 		// Buffer the body so the shard router can forward the request
-		// byte-for-byte; handlers keep decoding from r.Body unchanged.
-		raw, rerr := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
-		if rerr != nil {
-			s.m.status(name, s.error(w, badRequest("reading request body: %v", rerr)))
-			return
-		}
-		r.Body = io.NopCloser(bytes.NewReader(raw))
-		rctx := context.WithValue(r.Context(), rawBodyKey{}, raw)
-		if r.Header.Get(ForwardedHeader) != "" {
-			s.m.ForwardedServed.Add(1)
-			rctx = context.WithValue(rctx, forwardedKey{}, true)
-		}
-		ctx, cancel := context.WithTimeout(rctx, s.cfg.RequestTimeout)
-		defer cancel()
-
-		resp, err := s.guard(name, func() (*response, error) { return h(ctx, r) })
+		// byte-for-byte and the alias can digest it.
+		raw, err := bufferBody(r)
 		if err != nil {
-			status := s.error(w, err)
-			s.m.status(name, status)
-			s.cfg.Logf("ranad: %s %s -> %d: %v (%v)", r.Method, r.URL.Path, status, err, time.Since(start))
+			s.served(w, r, name, start, nil, err)
 			return
 		}
-		status := resp.status
-		if status == 0 {
-			status = http.StatusOK
+		forwarded := r.Header.Get(ForwardedHeader) != ""
+		if forwarded {
+			s.m.ForwardedServed.Add(1)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Rana-Cache", resp.source)
-		w.Header().Set("X-Rana-Key", resp.key)
-		w.WriteHeader(status)
-		w.Write(resp.body)
-		s.m.status(name, status)
-		s.cfg.Logf("ranad: %s %s -> %d %s (%v)", r.Method, r.URL.Path, status, resp.source, time.Since(start))
+		var digest aliasKey
+		if alias {
+			digest = aliasKey{endpoint: name, sum: sha256.Sum256(raw)}
+		}
+		resp, err := s.guard(name, func() (*response, error) {
+			if alias {
+				if resp := s.aliasHit(digest); resp != nil {
+					return resp, nil
+				}
+			}
+			resp, err := s.resolve(r, raw, forwarded, h)
+			if alias && err == nil && resp.status == 0 {
+				s.cache.Alias(digest, resp.key, resp.rung)
+			}
+			return resp, err
+		})
+		s.served(w, r, name, start, resp, err)
 	})
+}
+
+// resolve runs an endpoint handler on the buffered body: the full path
+// of decode, resolution, canonical key and the cache tiers.
+func (s *Server) resolve(r *http.Request, raw []byte, forwarded bool, h func(ctx context.Context, r *http.Request) (*response, error)) (*response, error) {
+	r.Body = io.NopCloser(bytes.NewReader(raw))
+	rctx := context.WithValue(r.Context(), rawBodyKey{}, raw)
+	if forwarded {
+		rctx = context.WithValue(rctx, forwardedKey{}, true)
+	}
+	ctx, cancel := context.WithTimeout(rctx, s.cfg.RequestTimeout)
+	defer cancel()
+	return h(ctx, r)
+}
+
+// aliasHit serves a body digest from the LRU, or returns nil when the
+// digest is unknown or its entry has been evicted.
+func (s *Server) aliasHit(d aliasKey) *response {
+	key, body, rg, ok := s.cache.GetAlias(d)
+	if !ok {
+		return nil
+	}
+	s.m.AliasHits.Add(1)
+	resp := s.cacheHit(key, body)
+	resp.rung = rg
+	return resp
+}
+
+// cacheHit is the response for a key found in the LRU.
+func (s *Server) cacheHit(key string, body []byte) *response {
+	s.m.CacheHits.Add(1)
+	return &response{body: body, key: key, source: "hit"}
+}
+
+// served writes an API response or error and accounts for it: the
+// status counters, the ladder-rung counters and the log line.
+func (s *Server) served(w http.ResponseWriter, r *http.Request, name string, start time.Time, resp *response, err error) {
+	if err != nil {
+		status := s.error(w, err)
+		s.m.status(name, status)
+		if s.cfg.Logf != nil {
+			s.cfg.Logf("ranad: %s %s -> %d: %v (%v)", r.Method, r.URL.Path, status, err, time.Since(start))
+		}
+		return
+	}
+	switch resp.rung {
+	case degradedRung:
+		s.m.Degraded.Add(1)
+	case budgetFallbackRung:
+		s.m.Degraded.Add(1)
+		s.m.BudgetRejections.Add(1)
+	}
+	status := resp.status
+	if status == 0 {
+		status = http.StatusOK
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Rana-Cache", resp.source)
+	h.Set("X-Rana-Key", resp.key)
+	w.WriteHeader(status)
+	w.Write(resp.body)
+	s.m.status(name, status)
+	if s.cfg.Logf != nil {
+		s.cfg.Logf("ranad: %s %s -> %d %s (%v)", r.Method, r.URL.Path, status, resp.source, time.Since(start))
+	}
+}
+
+// logf logs through Config.Logf when logging is on.
+func (s *Server) logf(format string, args ...any) {
+	if s.cfg.Logf != nil {
+		s.cfg.Logf(format, args...)
+	}
 }
 
 // guard runs h with the handler-side panic isolation: a panic on the
@@ -449,7 +527,7 @@ func (s *Server) guard(name string, h func() (*response, error)) (resp *response
 		if r := recover(); r != nil {
 			pe := &panicError{val: r, stack: debug.Stack()}
 			s.m.PanicsRecovered.Add(1)
-			s.cfg.Logf("ranad: recovered handler panic on %s: %v\n%s", name, r, pe.stack)
+			s.logf("ranad: recovered handler panic on %s: %v\n%s", name, r, pe.stack)
 			resp, err = nil, pe
 		}
 	}()
@@ -474,6 +552,7 @@ type response struct {
 	key    string
 	source string // "hit", "miss", "dedup", "store", "forward" or "job"
 	status int    // HTTP status; 0 means 200
+	rung   rung   // the ladder rung counted on every 2xx
 }
 
 // error writes a JSON error response, counts it, and returns the
@@ -538,8 +617,7 @@ func (s *Server) cached(ctx context.Context, key string, compute func(ctx contex
 // bounce a 429 to, and the job table already bounds outstanding work).
 func (s *Server) cachedMode(ctx context.Context, key string, wait bool, compute func(ctx context.Context) ([]byte, error)) (*response, error) {
 	if body, ok := s.cache.Get(key); ok {
-		s.m.CacheHits.Add(1)
-		return &response{body: body, key: key, source: "hit"}, nil
+		return s.cacheHit(key, body), nil
 	}
 	// The persistent store is the second cache tier: entries evicted
 	// from the LRU (or never warm-filled into it) are still served
@@ -613,7 +691,7 @@ func (s *Server) remember(key string, body []byte) {
 	s.cache.Add(key, body)
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.Put(key, body); err != nil {
-			s.cfg.Logf("ranad: store put %s: %v", key, err)
+			s.logf("ranad: store put %s: %v", key, err)
 		}
 	}
 }
@@ -635,11 +713,11 @@ func (s *Server) computationDone(key string, err error) {
 		s.cache.Remove(key)
 		var pe *panicError
 		if errors.As(err, &pe) {
-			s.cfg.Logf("ranad: recovered computation panic for %s: %v\n%s", key, pe.val, pe.stack)
+			s.logf("ranad: recovered computation panic for %s: %v\n%s", key, pe.val, pe.stack)
 		} else {
 			var spe *sched.PanicError
 			if errors.As(err, &spe) {
-				s.cfg.Logf("ranad: recovered scheduler panic for %s: %v\n%s", key, spe.Value, spe.Stack)
+				s.logf("ranad: recovered scheduler panic for %s: %v\n%s", key, spe.Value, spe.Stack)
 			}
 		}
 	case errors.Is(err, context.DeadlineExceeded):
