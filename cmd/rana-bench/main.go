@@ -13,7 +13,9 @@
 //	rana-bench -backends approx-dram,reram@fast-write  # backend cells
 //	rana-bench -o /tmp/b.json -regress BENCH_sched.json -axes=false
 //	                                   # CI regression gate: hard-fail on
-//	                                   # allocs/op growth, warn on ns/op
+//	                                   # allocs/op or one-worker
+//	                                   # candidates_evaluated growth,
+//	                                   # warn on ns/op
 //
 // Each snapshot entry is keyed by (network, backend, axes): the
 // default-adapter cell is always measured so trajectories stay
@@ -154,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	latClients := fs.Int("latency-clients", 8, "concurrent clients in the ranad latency section (0 skips it)")
 	latRequests := fs.Int("latency-requests", 200, "total /v1/schedule requests in the ranad latency section")
 	axes := fs.Bool("axes", true, "measure the traversal/mapping axis sweep section")
-	regress := fs.String("regress", "", "path to a prior snapshot: hard-fail when any cell's allocs/op exceed the prior value by more than 25%+32, warn when ns/op more than doubles")
+	regress := fs.String("regress", "", "path to a prior snapshot: hard-fail when any cell's allocs/op exceed the prior value by more than 25%+32 or a one-worker run's candidates_evaluated grows, warn when ns/op more than doubles")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -296,17 +298,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		if fails > 0 {
-			fmt.Fprintf(stderr, "rana-bench: %d allocation regression(s) against %s\n", fails, *regress)
+			fmt.Fprintf(stderr, "rana-bench: %d allocation or pricing-work regression(s) against %s\n", fails, *regress)
 			return 1
 		}
-		fmt.Fprintf(stdout, "no allocation regressions against %s\n", *regress)
+		fmt.Fprintf(stdout, "no allocation or pricing-work regressions against %s\n", *regress)
 	}
 	return 0
 }
 
 // checkRegression compares the fresh snapshot's throughput cells against
 // a committed prior one. Allocation counts are deterministic, so growth
-// beyond allocLimit is a hard failure; wall-clock is noisy on shared CI
+// beyond allocLimit is a hard failure, and so is any growth in a run's
+// candidates_evaluated when both sides ran on one worker (the search's
+// work is deterministic there); wall-clock is noisy on shared CI
 // machines, so ns/op regressions only warn. Cells present on one side
 // only (new model, new backend, new axes) are skipped — trajectories are
 // compared where both snapshots measured the same thing.
@@ -341,6 +345,13 @@ func checkRegression(stdout io.Writer, path string, snap *Snapshot) (int, error)
 			if limit := allocLimit(c.old.AllocsPerOp); c.new.AllocsPerOp > limit {
 				fmt.Fprintf(stdout, "FAIL %s/%s: allocs/op %d -> %d (limit %d)\n",
 					cell, c.kind, c.old.AllocsPerOp, c.new.AllocsPerOp, limit)
+				fails++
+			}
+			// On one worker the search's work is deterministic, so any
+			// growth in exact pricings is a real loss of pruning.
+			if c.old.Workers == 1 && c.new.Workers == 1 && c.new.Evaluated > c.old.Evaluated {
+				fmt.Fprintf(stdout, "FAIL %s/%s: candidates_evaluated %d -> %d (deterministic at one worker)\n",
+					cell, c.kind, c.old.Evaluated, c.new.Evaluated)
 				fails++
 			}
 			if c.old.NsPerOp > 0 && c.new.NsPerOp > 2*c.old.NsPerOp {

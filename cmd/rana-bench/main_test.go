@@ -70,3 +70,45 @@ func TestRunFlagErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRegressFailsOnPricingWorkGrowth: candidates_evaluated is
+// deterministic on one worker, so any growth there hard-fails the gate,
+// while the same growth on a multi-worker run (where pruning depends on
+// timing) and a shrink on one worker both pass.
+func TestRegressFailsOnPricingWorkGrowth(t *testing.T) {
+	cell := func(evaluated, workers int) Snapshot {
+		run := Run{Evaluated: evaluated, Workers: workers}
+		return Snapshot{Networks: []NetBench{{Model: "AlexNet", Axes: openAxes, Baseline: run, Optimized: run, Warm: run}}}
+	}
+	prior := filepath.Join(t.TempDir(), "prior.json")
+	raw, err := json.Marshal(cell(100, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(prior, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name               string
+		evaluated, workers int
+		fails              int
+	}{
+		{"grown on one worker", 101, 1, 3},
+		{"equal on one worker", 100, 1, 0},
+		{"shrunk on one worker", 60, 1, 0},
+		{"grown on two workers", 140, 2, 0},
+	} {
+		var stdout bytes.Buffer
+		snap := cell(c.evaluated, c.workers)
+		fails, err := checkRegression(&stdout, prior, &snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fails != c.fails {
+			t.Errorf("%s: %d failures, want %d (output %q)", c.name, fails, c.fails, stdout.String())
+		}
+		if c.fails > 0 && !strings.Contains(stdout.String(), "FAIL AlexNet/rtc/all/optimized: candidates_evaluated 100 -> 101") {
+			t.Errorf("%s: report %q does not name the cell and counts", c.name, stdout.String())
+		}
+	}
+}

@@ -83,8 +83,13 @@ func (t Tiling) Tl(l models.ConvLayer) int { return (t.Tc-1)*l.S + l.K }
 
 // FitsCore reports whether the tiling satisfies the core local-storage
 // constraints of Fig. 13: Tn·Th·Tl ≤ Ri, Tm·Tr·Tc ≤ Ro, Tm·Tn·K² ≤ Rw.
-func (t Tiling) FitsCore(l models.ConvLayer, cfg hw.Config) bool {
-	return t.Tn*t.Th(l)*t.Tl(l) <= cfg.LocalInput &&
+// The layer and accelerator are read through pointers, and Th and Tl
+// are spelled out rather than called (those helpers take the layer by
+// value): the scheduler admits every tiling of its space through here,
+// and each by-value layer or config is a block copy.
+func (t Tiling) FitsCore(l *models.ConvLayer, cfg *hw.Config) bool {
+	th, tl := (t.Tr-1)*l.S+l.K, (t.Tc-1)*l.S+l.K
+	return t.Tn*th*tl <= cfg.LocalInput &&
 		t.Tm*t.Tr*t.Tc <= cfg.LocalOutput &&
 		t.Tm*t.Tn*l.K*l.K <= cfg.LocalWeight
 }
@@ -278,6 +283,16 @@ func AnalyzeTraversalInto(dst *Analysis, l *models.ConvLayer, k Kind, t Tiling, 
 	if err := l.Validate(); err != nil {
 		return err
 	}
+	return AnalyzeValidInto(dst, l, k, t, cfg, trv)
+}
+
+// AnalyzeValidInto is AnalyzeTraversalInto for a layer the caller has
+// already validated (l.Validate() returned nil): the scheduler checks a
+// layer once and then analyzes thousands of its candidates, so it skips
+// the per-call layer check. The tiling, traversal, kind and array
+// mapping are still checked on every call. An unvalidated layer may
+// divide by zero.
+func AnalyzeValidInto(dst *Analysis, l *models.ConvLayer, k Kind, t Tiling, cfg *hw.Config, trv Traversal) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}

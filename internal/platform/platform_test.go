@@ -327,7 +327,7 @@ func TestChosenTilingsFitCore(t *testing.T) {
 					eff.M /= g
 					eff.Groups = 1
 				}
-				if !lp.Analysis.Tiling.FitsCore(eff, cfg) {
+				if !lp.Analysis.Tiling.FitsCore(&eff, &cfg) {
 					t.Errorf("%s/%s/%s: tiling %v violates core constraints",
 						d.Name, n.Name, l.Name, lp.Analysis.Tiling)
 				}

@@ -61,8 +61,8 @@ import (
 type bound struct {
 	l             models.ConvLayer // effective (per-group) sub-layer
 	cfg           hw.Config
-	g             uint64 // group count scaling sub-layer traffic to the layer
-	macs          uint64 // layer MACs, already group-scaled
+	g             uint64  // group count scaling sub-layer traffic to the layer
+	macs          uint64  // layer MACs, already group-scaled
 	r, c          int     // derived output geometry, hoisted for the pricer
 	macE          float64 // float64(macs)·MACpJ — the bound's constant Eq. 14 term
 	din, dw, dout uint64  // sub-layer data volumes (words)
@@ -75,6 +75,10 @@ type bound struct {
 	// admissibility holds per cell by the same argument as before.
 	tables []energy.Table
 	points int
+	// minAccess[p] is the least AccessPJ over point p's mapping tables —
+	// the access energy of a coordinate's least-bounded mapping cell
+	// (see pricingCtx.LowerCoord).
+	minAccess []float64
 	// travs is the traversal axis, index-aligned with cell.Trav. A
 	// blocked traversal only ever adds DDR reloads and shrinks the
 	// (zero-bounded) refresh term — except blocked ID, whose position-
@@ -100,19 +104,28 @@ func (b *bound) init(l models.ConvLayer, cfg hw.Config, tables []energy.Table, p
 	if l.Groups > 1 {
 		g = uint64(l.Groups)
 	}
+	minAccess := b.minAccess[:0]
+	for p := 0; p < points; p++ {
+		a := tables[p].AccessPJ
+		for i := p + points; i < len(tables); i += points {
+			a = min(a, tables[i].AccessPJ)
+		}
+		minAccess = append(minAccess, a)
+	}
 	*b = bound{
-		l:      e,
-		cfg:    cfg,
-		g:      g,
-		macs:   e.MACs() * g,
-		r:      e.R(),
-		c:      e.C(),
-		din:    e.InputWords(),
-		dw:     e.WeightWords(),
-		dout:   e.OutputWords(),
-		tables: tables,
-		points: points,
-		travs:  travs,
+		l:         e,
+		cfg:       cfg,
+		g:         g,
+		macs:      e.MACs() * g,
+		r:         e.R(),
+		c:         e.C(),
+		din:       e.InputWords(),
+		dw:        e.WeightWords(),
+		dout:      e.OutputWords(),
+		tables:    tables,
+		points:    points,
+		minAccess: minAccess,
+		travs:     travs,
 	}
 	b.macE = float64(b.macs) * energy.MACpJ
 }
@@ -315,24 +328,55 @@ func (pc *pricingCtx) Release() {
 // Lower implements search.Pricer — bit-identical to (*bound).lower at
 // every cell, in any call order.
 func (pc *pricingCtx) Lower(k pattern.Kind, t pattern.Tiling, cell search.Cell) float64 {
+	ks, lb, ok := pc.state(k, t)
+	if !ok {
+		return lb
+	}
+	return pc.price(k, ks, cell.Trav, pc.b.tables[cell.Map*pc.b.points+cell.Point].AccessPJ)
+}
+
+// LowerCoord implements search.Pricer: the least Lower over the mapping
+// cells of one (kind, tiling, point, traversal) coordinate, bit for
+// bit, in one pricing. Lower is (macE + bufG·a) + ddr·DDRAccessPJ in
+// the cell table's access energy a, with every operand non-negative; a
+// product and a sum are monotone in each operand under round-to-nearest,
+// so the least cell is the one with the least a, and pricing that a
+// yields exactly its bits.
+func (pc *pricingCtx) LowerCoord(k pattern.Kind, t pattern.Tiling, point, trav int) float64 {
+	ks, lb, ok := pc.state(k, t)
+	if !ok {
+		return lb
+	}
+	return pc.price(k, ks, trav, pc.b.minAccess[point])
+}
+
+// state brings the caches up to the candidate's (kind, tiling) and
+// returns its kind state. ok is false when the bound is already decided
+// without pricing: lb is then 0 for an unknown kind (never pruned,
+// exactly like lower()) or +Inf for an infeasible working set.
+func (pc *pricingCtx) state(k pattern.Kind, t pattern.Tiling) (ks *kindState, lb float64, ok bool) {
 	ki := int(k)
 	if ki < 0 || ki >= kindSlots {
-		// Unknown kinds bound to zero, exactly like lower(): never
-		// pruned, so the exact evaluator still sees (and rejects) them.
-		return 0
+		return nil, 0, false
 	}
 	if !pc.tValid || t != pc.t {
 		pc.rebuildTiling(t)
 	}
-	ks := &pc.kinds[ki]
+	ks = &pc.kinds[ki]
 	if !ks.ktValid {
 		pc.rebuildKind(k, ks, t)
 	}
 	if !ks.feasible {
-		return math.Inf(1)
+		return nil, math.Inf(1), false
 	}
+	return ks, 0, true
+}
+
+// price is the final Eq. 14 pricing of a feasible kind state at one
+// traversal and buffer access energy.
+func (pc *pricingCtx) price(k pattern.Kind, ks *kindState, trav int, accessPJ float64) float64 {
 	ddr := ks.ddrG
-	if k == pattern.ID && pc.b.travs != nil && !pc.b.travs[cell.Trav].IsLinear() {
+	if k == pattern.ID && pc.b.travs != nil && !pc.b.travs[trav].IsLinear() {
 		ddr = ks.ddrBlkG
 	}
 	// Scalar form of the reference's SystemTable(...).Total() — the hot
@@ -343,8 +387,7 @@ func (pc *pricingCtx) Lower(k pattern.Kind, t pattern.Tiling, cell search.Cell) 
 	// and x+(+0) == x under IEEE round-to-nearest, so this expression is
 	// the same sum with the +0 terms elided. macE caches the constant
 	// float64(macs)·MACpJ product per layer (same operands, same bits).
-	return (pc.b.macE + float64(ks.bufG)*pc.b.tables[cell.Map*pc.b.points+cell.Point].AccessPJ) +
-		float64(ddr)*energy.DDRAccessPJ
+	return (pc.b.macE + float64(ks.bufG)*accessPJ) + float64(ddr)*energy.DDRAccessPJ
 }
 
 // rebuildTiling refreshes the kind-independent terms for a new tiling

@@ -121,7 +121,7 @@ type exploreState struct {
 
 func newExploreState() *exploreState {
 	s := &exploreState{}
-	s.admit = func(t pattern.Tiling) bool { return t.FitsCore(s.e, s.cfg) }
+	s.admit = func(t pattern.Tiling) bool { return t.FitsCore(&s.e, &s.cfg) }
 	s.boundFn = s.b.lower
 	s.newPricer = func() search.Pricer { return acquirePricer(&s.b, s.env.prefix) }
 	s.evaluate = s.evaluateExact
@@ -223,7 +223,8 @@ func exploreLayerEnv(l models.ConvLayer, cfg hw.Config, opts Options, env compil
 // bind points the state at one layer's search, after the backend and
 // its operating points are resolved into s.bk and s.points: the layer,
 // config, options and axes the evaluators read, the per-(mapping,
-// point) pricing tables and the bound.
+// point) pricing tables and the bound. The layer must be valid: exact
+// evaluation (cellInputs.analyze) does not check it.
 func (s *exploreState) bind(l models.ConvLayer, cfg hw.Config, opts Options, env compileEnv) {
 	s.l, s.cfg, s.opts, s.env = l, cfg, opts, env
 	s.in = newCellInputs(&s.l, &s.cfg, &s.opts, s.bk)
@@ -233,7 +234,13 @@ func (s *exploreState) bind(l models.ConvLayer, cfg hw.Config, opts Options, env
 	s.b.init(l, cfg, s.tables, len(s.points), env.travs)
 }
 
+// explore runs one layer's search. It validates the layer once, for
+// every exact evaluation that follows and for the tiling axes, whose
+// derived output sizes divide by the stride.
 func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, env compileEnv) (LayerPlan, search.Stats, error) {
+	if err := l.Validate(); err != nil {
+		return LayerPlan{}, search.Stats{}, err
+	}
 	var err error
 	s.bk, s.points, err = appendBackendPoints(s.points[:0], cfg, opts, opts.layerBudget(l.Name), l.Name)
 	if err != nil {

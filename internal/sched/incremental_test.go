@@ -2,7 +2,8 @@ package sched
 
 // The incremental-pricing equality test: a pricingCtx must return
 // *bit-identical* values to the stateless (*bound).lower at every cell,
-// in any call order — the property that makes incremental pricing
+// and LowerCoord the least of them over each coordinate's mapping
+// cells, in any call order — the property that makes incremental pricing
 // invisible to pruning decisions, plans and work accounting. The test
 // streams the full candidate space of representative layers in the
 // canonical enumeration order (maximizing cache reuse), in a seeded
@@ -114,6 +115,19 @@ func TestIncrementalBoundBitIdentical(t *testing.T) {
 						pc.Release()
 						t.Fatalf("%s/%s %s: kind %v tiling %+v cell %+v: incremental %v (bits %x) != stateless %v (bits %x)",
 							net.Name, l.Name, run.name, c.k, c.t, c.cell,
+							got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+					// The coordinate bound is the least cell bound over the
+					// mapping axis, bit for bit.
+					got = pc.LowerCoord(c.k, c.t, c.cell.Point, c.cell.Trav)
+					want = math.Inf(1)
+					for mi := range maps {
+						want = min(want, b.lower(c.k, c.t, search.Cell{Point: c.cell.Point, Trav: c.cell.Trav, Map: mi}))
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						pc.Release()
+						t.Fatalf("%s/%s %s: kind %v tiling %+v point %d traversal %d: coordinate bound %v (bits %x) != least cell bound %v (bits %x)",
+							net.Name, l.Name, run.name, c.k, c.t, c.cell.Point, c.cell.Trav,
 							got, math.Float64bits(got), want, math.Float64bits(want))
 					}
 				}

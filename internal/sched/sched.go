@@ -415,7 +415,7 @@ func naturalSchedule(l models.ConvLayer, cfg hw.Config, opts Options,
 	stats.Tilings = len(tilings)
 	fit := make([]pattern.Tiling, 0, len(tilings))
 	for _, t := range tilings {
-		if t.FitsCore(e, cfg) {
+		if t.FitsCore(&e, &cfg) {
 			fit = append(fit, t)
 		}
 	}
@@ -470,6 +470,9 @@ func evaluatePoint(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.
 // path bit for bit.
 func evaluateCell(l models.ConvLayer, k pattern.Kind, t pattern.Tiling, cfg hw.Config, opts Options,
 	bk mem.Backend, pt mem.OperatingPoint, trv pattern.Traversal, mp MappingPolicy) (LayerPlan, error) {
+	if err := l.Validate(); err != nil {
+		return LayerPlan{}, err
+	}
 	var lp LayerPlan
 	in := newCellInputs(&l, &cfg, &opts, bk)
 	if err := in.analyze(&lp, k, t, &pt, trv); err != nil {
@@ -496,8 +499,9 @@ func newCellInputs(l *models.ConvLayer, cfg *hw.Config, opts *Options, bk mem.Ba
 	return cellInputs{l: l, cfg: cfg, opts: opts, bk: bk, banks: cfg.Banks(), guard: opts.guard()}
 }
 
-// analyze is the first step of exact evaluation: it analyzes one
-// (kind, tiling, operating point, traversal) coordinate into lp and
+// analyze is the first step of exact evaluation, for a layer its caller
+// has validated: it analyzes one (kind, tiling, operating point,
+// traversal) coordinate into lp and
 // derives everything the mapping axis leaves untouched — the bank
 // allocation, the refresh flags and words, and the Eq. 14 counts. Every
 // LayerPlan field except Energy and Mapping is overwritten (Needs
@@ -506,7 +510,7 @@ func newCellInputs(l *models.ConvLayer, cfg *hw.Config, opts *Options, bk mem.Ba
 // unspecified.
 func (in *cellInputs) analyze(lp *LayerPlan, k pattern.Kind, t pattern.Tiling, pt *mem.OperatingPoint, trv pattern.Traversal) error {
 	a := &lp.Analysis
-	if err := pattern.AnalyzeTraversalInto(a, in.l, k, t, in.cfg, trv); err != nil {
+	if err := pattern.AnalyzeValidInto(a, in.l, k, t, in.cfg, trv); err != nil {
 		return err
 	}
 	lp.Point = mem.NormalizePoint(pt.Name)

@@ -14,6 +14,7 @@ import (
 	"rana/internal/models"
 	"rana/internal/pattern"
 	"rana/internal/retention"
+	"rana/internal/sched/search"
 )
 
 func ranaOpts() Options {
@@ -56,7 +57,7 @@ func TestSchedulerIsOptimalOverItsSpace(t *testing.T) {
 	}
 	for _, k := range opts.Patterns {
 		for _, ti := range candidateTilings(l, cfg, opts) {
-			if !ti.FitsCore(l, cfg) {
+			if !ti.FitsCore(&l, &cfg) {
 				continue
 			}
 			lp, err := Evaluate(l, k, ti, cfg, opts)
@@ -340,5 +341,38 @@ func TestScheduleContextBackgroundMatchesSchedule(t *testing.T) {
 	gb, _ := json.Marshal(Encode(b))
 	if string(ga) != string(gb) {
 		t.Error("ScheduleContext diverged from Schedule")
+	}
+}
+
+// TestExploreRejectsInvalidLayers: exact evaluation skips the per-call
+// layer check (pattern.AnalyzeValidInto), so the layer is validated once
+// per search, before anything derives sizes from it; a malformed layer
+// must come back as its validation error, under every strategy and the
+// natural-tiling baseline, never as a division by zero.
+func TestExploreRejectsInvalidLayers(t *testing.T) {
+	cfg := hw.TestAcceleratorEDRAM()
+	good := models.ConvLayer{Name: "l", N: 4, H: 8, L: 8, M: 8, K: 3, S: 1, P: 1}
+	bad := []func(*models.ConvLayer){
+		func(l *models.ConvLayer) { l.S = 0 },
+		func(l *models.ConvLayer) { l.N = 0 },
+		func(l *models.ConvLayer) { l.Groups = 3 },
+		func(l *models.ConvLayer) { l.K, l.P = 11, 0 },
+	}
+	for i, mutate := range bad {
+		l := good
+		mutate(&l)
+		want := l.Validate()
+		if want == nil {
+			t.Fatalf("case %d: layer %+v validates", i, l)
+		}
+		for _, natural := range []bool{false, true} {
+			for _, s := range search.Strategies() {
+				opts := ranaOpts()
+				opts.Search, opts.NaturalTiling = s, natural
+				if _, _, err := ExploreLayer(l, cfg, opts); err == nil || err.Error() != want.Error() {
+					t.Errorf("case %d %s natural=%v: error %v, want %v", i, s, natural, err, want)
+				}
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package search
 
 import (
 	"container/heap"
-	"sync"
 	"sync/atomic"
 )
 
@@ -73,24 +72,32 @@ func beam[T any](p Problem[T], width, workers int) (Result[T], error) {
 				for tv := 0; tv < travs; tv++ {
 					for mi := 0; mi < maps; mi++ {
 						r.Stats.Candidates++
-						s := scored{c: Candidate{Kind: k, KindIdx: ki, Tiling: t, TilingIdx: ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}}
+						var lb float64
 						if p.Bound != nil {
 							r.Stats.Bounded++
+							cell := Cell{Point: pi, Trav: tv, Map: mi}
 							if pricer != nil {
-								s.bound = pricer.Lower(k, t, s.c.Cell())
+								lb = pricer.Lower(k, t, cell)
 							} else {
-								s.bound = p.Bound(k, t, s.c.Cell())
+								lb = p.Bound(k, t, cell)
 							}
 						}
-						switch {
-						case len(kept) < width:
-							heap.Push(&kept, s)
-						case worse(&kept[0], &s):
+						// The stream is canonical, so an arrival is canonically
+						// after every kept candidate: it displaces the least
+						// promising one (worse) only on a strictly smaller bound,
+						// and only then is its Candidate built.
+						full := len(kept) == width
+						if full && !(kept[0].bound > lb) {
+							r.Stats.Pruned++
+							continue
+						}
+						s := scored{c: Candidate{Kind: k, KindIdx: ki, Tiling: t, TilingIdx: ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}, bound: lb}
+						if full {
 							kept[0] = s
 							heap.Fix(&kept, 0)
 							r.Stats.Pruned++
-						default:
-							r.Stats.Pruned++
+						} else {
+							heap.Push(&kept, s)
 						}
 					}
 				}
@@ -118,13 +125,7 @@ func beam[T any](p Problem[T], width, workers int) (Result[T], error) {
 	}
 	if !r.Found {
 		p.Space.Reset()
-		var full Result[T]
-		var err error
-		if workers > 1 {
-			full, err = scanParallel(p, p.Bound != nil, workers)
-		} else {
-			full, err = scan(p, p.Bound != nil)
-		}
+		full, err := pruned(p, workers)
 		if err != nil {
 			return Result[T]{}, err
 		}
@@ -159,39 +160,21 @@ func priceOrdered[T any](p Problem[T], ordered []scored, workers int, stats *Sta
 	var (
 		cursor atomic.Int64
 		failed atomic.Bool
-		wg     sync.WaitGroup
 		errs   = make([]error, len(ordered))
-		panics = make([]*workerPanic, workers)
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panics[w] = &workerPanic{Value: v, Stack: stack()}
-					failed.Store(true)
-				}
-			}()
-			for !failed.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(ordered) {
-					return
-				}
-				if err := p.Evaluate(ordered[i].c.Kind, ordered[i].c.Tiling, ordered[i].c.Cell(), &outs[i]); err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
+	fanOut(workers, &failed, func(int) {
+		for !failed.Load() {
+			i := int(cursor.Add(1)) - 1
+			if i >= len(ordered) {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
-	for _, pv := range panics {
-		if pv != nil {
-			panic(pv)
+			if err := p.Evaluate(ordered[i].c.Kind, ordered[i].c.Tiling, ordered[i].c.Cell(), &outs[i]); err != nil {
+				errs[i] = err
+				failed.Store(true)
+				return
+			}
 		}
-	}
+	})
 	evaluated := 0
 	var firstErr error
 	for i := range ordered {

@@ -140,34 +140,53 @@ func TestParallelPropagatesEvaluatorErrors(t *testing.T) {
 
 // TestParallelRepanicsWorkerPanics: a panic inside a worker goroutine
 // must resurface on the calling goroutine (where sched's per-layer
-// recover can convert it) with the original value attached.
+// recover can convert it) with the original value attached — in the
+// exhaustive scan and in both fan-outs of the best-first one.
 func TestParallelRepanicsWorkerPanics(t *testing.T) {
-	kinds := []pattern.Kind{pattern.OD}
-	p := Problem[string]{
-		Space: NewSlice(tilingsN(64)),
-		Kinds: kinds,
-		Evaluate: func(k pattern.Kind, ti pattern.Tiling, _ Cell, out *Outcome[string]) error {
-			if ti.Tm == 40 {
-				panic("poisoned candidate")
+	for _, c := range []struct {
+		name           string
+		s              Strategy
+		boundPanics    bool
+		evaluatePanics bool
+	}{
+		{"exhaustive", Exhaustive, false, true},
+		{"best-first pricing", Pruned, false, true},
+		{"best-first bounding", Pruned, true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := Problem[string]{
+				Space: NewSlice(tilingsN(64)),
+				Kinds: []pattern.Kind{pattern.OD},
+				Bound: func(_ pattern.Kind, ti pattern.Tiling, _ Cell) float64 {
+					if c.boundPanics && ti.Tm == 40 {
+						panic("poisoned candidate")
+					}
+					return 0
+				},
+				Evaluate: func(k pattern.Kind, ti pattern.Tiling, _ Cell, out *Outcome[string]) error {
+					if c.evaluatePanics && ti.Tm == 40 {
+						panic("poisoned candidate")
+					}
+					*out = Outcome[string]{Feasible: true, Energy: float64(ti.Tm)}
+					return nil
+				},
 			}
-			*out = Outcome[string]{Feasible: true, Energy: float64(ti.Tm)}
-			return nil
-		},
+			defer func() {
+				v := recover()
+				if v == nil {
+					t.Fatal("worker panic swallowed")
+				}
+				wp, ok := v.(*workerPanic)
+				if !ok {
+					t.Fatalf("recovered %T, want *workerPanic", v)
+				}
+				if wp.Value != "poisoned candidate" || len(wp.Stack) == 0 {
+					t.Fatalf("panic payload %+v lost the original value or stack", wp)
+				}
+			}()
+			_, _ = Run(p, Options{Strategy: c.s, Parallelism: 8})
+		})
 	}
-	defer func() {
-		v := recover()
-		if v == nil {
-			t.Fatal("worker panic swallowed")
-		}
-		wp, ok := v.(*workerPanic)
-		if !ok {
-			t.Fatalf("recovered %T, want *workerPanic", v)
-		}
-		if wp.Value != "poisoned candidate" || len(wp.Stack) == 0 {
-			t.Fatalf("panic payload %+v lost the original value or stack", wp)
-		}
-	}()
-	_, _ = Run(p, Options{Strategy: Exhaustive, Parallelism: 8})
 }
 
 // TestBeamParallelMatchesSequential: the beam's fan-out pricing must
@@ -225,7 +244,8 @@ func TestSharedBoundStress(t *testing.T) {
 
 // TestIncumbentBoundTighten covers the atomic min directly.
 func TestIncumbentBoundTighten(t *testing.T) {
-	b := newIncumbentBound()
+	var b incumbentBound
+	b.reset()
 	if !math.IsInf(b.load(), 1) {
 		t.Fatalf("fresh bound = %v, want +Inf", b.load())
 	}

@@ -7,9 +7,10 @@
 //
 //   - Exhaustive prices every admitted candidate — the reference,
 //     bit-identical to the historical scheduler loop;
-//   - Pruned is a branch-and-bound scan: a candidate whose lower bound
-//     already exceeds the incumbent's exact energy is skipped without
-//     pricing. With an admissible bound it returns the same argmin as
+//   - Pruned is a best-first branch and bound (bestfirst.go): it bounds
+//     the whole space, prices in ascending-bound order, and skips every
+//     candidate whose lower bound already exceeds the incumbent's exact
+//     energy. With an admissible bound it returns the same argmin as
 //     Exhaustive, just cheaper;
 //   - Beam is the budgeted middle rung of the serving degradation
 //     ladder: it bounds every candidate, prices only the K most
@@ -153,8 +154,14 @@ type Cell struct {
 // or the stateless evaluator ran. Release hands the context back to its
 // owner's pool; the strategy calls it when the goroutine's scan ends
 // and never touches the pricer again.
+//
+// LowerCoord bounds a whole coordinate — every mapping cell of one
+// (kind, tiling, point, traversal) — at once: it must return exactly
+// the least Lower over those cells, the one bound a best-first scan
+// keeps per coordinate.
 type Pricer interface {
 	Lower(k pattern.Kind, t pattern.Tiling, cell Cell) float64
+	LowerCoord(k pattern.Kind, t pattern.Tiling, point, trav int) float64
 	Release()
 }
 
@@ -294,7 +301,8 @@ type Stats struct {
 	Admitted int
 	// Candidates counts (kind, tiling) pairs considered.
 	Candidates int
-	// Bounded counts lower-bound computations.
+	// Bounded counts candidates whose lower bound was computed (one
+	// coordinate bound covers all of its mapping cells).
 	Bounded int
 	// Pruned counts candidates skipped because their bound already
 	// exceeded the incumbent.
@@ -350,6 +358,21 @@ func (r *Result[T]) improve(c *Candidate, o *Outcome[T]) {
 	r.Outcome.Energy = o.Energy
 }
 
+// keep folds a priced cell into the incumbent and reports whether the
+// cell could win: it is feasible and no costlier than the incumbent.
+// Only such a cell builds its Candidate, a block of ten words a
+// strictly costlier cell never needs.
+func (r *Result[T]) keep(k pattern.Kind, ki int, ta *tilingAt, cell Cell, out *Outcome[T]) bool {
+	if !out.Feasible || r.Found && out.Energy > r.Outcome.Energy {
+		return false
+	}
+	c := Candidate{Kind: k, KindIdx: ki, Tiling: ta.t, TilingIdx: ta.ti, PointIdx: cell.Point, TravIdx: cell.Trav, MapIdx: cell.Map}
+	if !r.Found || prefer(out.Energy, &c, r.Outcome.Energy, &r.Candidate) {
+		r.improve(&c, out)
+	}
+	return true
+}
+
 // settle completes an incumbent kept by improve: it prices the winning
 // candidate once more into the scratch out and takes its Value.
 // Evaluate is deterministic (see Problem.Evaluate), so the second
@@ -375,15 +398,9 @@ func Run[T any](p Problem[T], o Options) (Result[T], error) {
 	workers := EffectiveParallelism(o.Parallelism)
 	switch o.Strategy.Resolve() {
 	case Exhaustive:
-		if workers > 1 {
-			return scanParallel(p, false, workers)
-		}
-		return scan(p, false)
+		return exhaustive(p, workers)
 	case Pruned:
-		if workers > 1 {
-			return scanParallel(p, p.Bound != nil, workers)
-		}
-		return scan(p, p.Bound != nil)
+		return pruned(p, workers)
 	default: // Beam; Validate covered the rest
 		return beam(p, EffectiveWidth(o.BeamWidth), workers)
 	}
@@ -429,18 +446,31 @@ func canonicalBefore(a, b *Candidate) bool {
 	return a.MapIdx < b.MapIdx
 }
 
-// scan is the shared exhaustive / branch-and-bound loop: one streaming
-// pass over the tiling space, all pattern kinds and value cells
-// (operating point × traversal × mapping) priced per tiling.
-func scan[T any](p Problem[T], prune bool) (Result[T], error) {
+// exhaustive prices every admitted candidate: the streaming scan on
+// one worker, the partitioned one on more.
+func exhaustive[T any](p Problem[T], workers int) (Result[T], error) {
+	if workers > 1 {
+		return scanParallel(p, workers)
+	}
+	return scan(p)
+}
+
+// pruned is the branch and bound: the best-first scan, or the
+// exhaustive one when the problem has no bound to prune with.
+func pruned[T any](p Problem[T], workers int) (Result[T], error) {
+	if p.Bound == nil {
+		return exhaustive(p, workers)
+	}
+	return bestFirstScan(p, workers)
+}
+
+// scan is the sequential exhaustive loop: one streaming pass over the
+// tiling space, all pattern kinds and value cells (operating point ×
+// traversal × mapping) priced per tiling.
+func scan[T any](p Problem[T]) (Result[T], error) {
 	var r Result[T]
 	r.Stats.Workers = 1
 	points, travs, maps := p.points(), p.travs(), p.maps()
-	var pricer Pricer
-	if prune && p.Bound != nil && p.NewPricer != nil {
-		pricer = p.NewPricer()
-		defer pricer.Release()
-	}
 	out := p.newOutcome()
 	defer p.freeOutcome(out)
 	for ti := 0; ; ti++ {
@@ -453,39 +483,18 @@ func scan[T any](p Problem[T], prune bool) (Result[T], error) {
 			continue
 		}
 		r.Stats.Admitted++
+		ta := tilingAt{t: t, ti: ti}
 		for ki, k := range p.Kinds {
 			for pi := 0; pi < points; pi++ {
 				for tv := 0; tv < travs; tv++ {
 					for mi := 0; mi < maps; mi++ {
 						r.Stats.Candidates++
 						cell := Cell{Point: pi, Trav: tv, Map: mi}
-						if prune && r.Found {
-							r.Stats.Bounded++
-							// Strictly greater only: a candidate whose bound *equals*
-							// the incumbent's energy could still tie exactly and win
-							// the deterministic tie-break, so it must be priced.
-							var lb float64
-							if pricer != nil {
-								lb = pricer.Lower(k, t, cell)
-							} else {
-								lb = p.Bound(k, t, cell)
-							}
-							if lb > r.Outcome.Energy {
-								r.Stats.Pruned++
-								continue
-							}
-						}
 						if err := p.Evaluate(k, t, cell, out); err != nil {
 							return Result[T]{}, err
 						}
 						r.Stats.Evaluated++
-						if !out.Feasible {
-							continue
-						}
-						c := Candidate{Kind: k, KindIdx: ki, Tiling: t, TilingIdx: ti, PointIdx: pi, TravIdx: tv, MapIdx: mi}
-						if !r.Found || prefer(out.Energy, &c, r.Outcome.Energy, &r.Candidate) {
-							r.improve(&c, out)
-						}
+						r.keep(k, ki, &ta, cell, out)
 					}
 				}
 			}

@@ -3,6 +3,8 @@ package search
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"rana/internal/pattern"
@@ -80,6 +82,9 @@ func TestProductStreamsFullCrossProductInOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("tiling %d = %v, want %v (historical Tm-major nesting)", i, got[i], want[i])
 		}
+		if at := p.At(i); at != want[i] {
+			t.Fatalf("At(%d) = %v, want %v (the %d-th Next)", i, at, want[i], i)
+		}
 	}
 	// Exhausted stays exhausted; Reset rewinds.
 	if _, ok := p.Next(); ok {
@@ -110,7 +115,29 @@ type entry struct {
 	bound    float64
 }
 
-func synthetic(tilings []pattern.Tiling, kinds []pattern.Kind, table map[string]entry, evaluated *[]string) Problem[string] {
+// recorder logs the candidates a synthetic problem prices. Evaluate
+// runs on every worker of a parallel run, so the log is mutex-guarded;
+// only a Parallelism 1 run has an order worth asserting.
+type recorder struct {
+	mu  sync.Mutex
+	ids []string
+}
+
+func (r *recorder) add(id string) {
+	r.mu.Lock()
+	r.ids = append(r.ids, id)
+	r.mu.Unlock()
+}
+
+// expect fails the test unless the log is exactly want, in order.
+func (r *recorder) expect(t *testing.T, want ...string) {
+	t.Helper()
+	if !slices.Equal(r.ids, want) {
+		t.Fatalf("evaluated %v, want %v", r.ids, want)
+	}
+}
+
+func synthetic(tilings []pattern.Tiling, kinds []pattern.Kind, table map[string]entry, evaluated *recorder) Problem[string] {
 	key := func(k pattern.Kind, t pattern.Tiling) string { return fmt.Sprintf("%v/%d", k, t.Tm) }
 	return Problem[string]{
 		Space: NewSlice(tilings),
@@ -123,7 +150,7 @@ func synthetic(tilings []pattern.Tiling, kinds []pattern.Kind, table map[string]
 				return errors.New("no entry for " + id)
 			}
 			if evaluated != nil {
-				*evaluated = append(*evaluated, id)
+				evaluated.add(id)
 			}
 			*out = Outcome[string]{Feasible: e.feasible, Energy: e.energy, Value: id}
 			return nil
@@ -181,38 +208,32 @@ func TestTieBreakKeepsEarliestCanonicalCandidate(t *testing.T) {
 	}
 }
 
-// TestPrunedSkipsBoundedCandidatesButKeepsArgmin: candidates whose
-// bound exceeds the incumbent are never priced; candidates whose bound
-// merely *equals* the incumbent still are (they could tie and win the
-// tie-break).
+// TestPrunedSkipsBoundedCandidatesButKeepsArgmin: the best-first scan
+// seeds its incumbent with the lowest-bound candidate, prices the rest
+// in ascending-bound order, never prices a candidate whose bound
+// exceeds the incumbent, and still prices one whose bound merely
+// *equals* it — that candidate can tie exactly and win the tie-break,
+// as OD/0 does here.
 func TestPrunedSkipsBoundedCandidatesButKeepsArgmin(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD}
 	table := map[string]entry{
-		"OD/0": {energy: 10, feasible: true, bound: 1},
+		"OD/0": {energy: 10, feasible: true, bound: 10}, // bound == incumbent: priced last, wins the tie
 		"OD/1": {energy: 30, feasible: true, bound: 20}, // bound > incumbent 10: pruned
-		"OD/2": {energy: 10, feasible: true, bound: 10}, // bound == incumbent: must be priced
-		"OD/3": {energy: 4, feasible: true, bound: 3},   // new argmin
+		"OD/2": {energy: 12, feasible: true, bound: 4},  // priced second, in bound order
+		"OD/3": {energy: 10, feasible: true, bound: 1},  // lowest bound: seeds the incumbent
 	}
-	var evaluated []string
-	r, err := Run(synthetic(tilingsN(4), kinds, table, &evaluated), Options{Strategy: Pruned})
+	var evaluated recorder
+	r, err := Run(synthetic(tilingsN(4), kinds, table, &evaluated), Options{Strategy: Pruned, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Outcome.Value != "OD/3" {
-		t.Errorf("argmin = %q, want OD/3", r.Outcome.Value)
+	if r.Outcome.Value != "OD/0" {
+		t.Errorf("argmin = %q, want OD/0", r.Outcome.Value)
 	}
-	// The trailing OD/3 is the scan settling its winner's Value: the
+	// The trailing OD/0 is the scan settling its winner's Value: the
 	// incumbent is kept by energy while the scan runs and priced once
 	// more at the end, uncounted (Stats.Evaluated stays 3 below).
-	want := []string{"OD/0", "OD/2", "OD/3", "OD/3"}
-	if len(evaluated) != len(want) {
-		t.Fatalf("evaluated %v, want %v", evaluated, want)
-	}
-	for i := range want {
-		if evaluated[i] != want[i] {
-			t.Fatalf("evaluated %v, want %v", evaluated, want)
-		}
-	}
+	evaluated.expect(t, "OD/3", "OD/2", "OD/0", "OD/0")
 	if r.Stats.Pruned != 1 || r.Stats.Evaluated != 3 || r.Stats.Candidates != 4 {
 		t.Errorf("stats = %+v", r.Stats)
 	}
@@ -229,14 +250,12 @@ func TestBeamPricesOnlyTheMostPromising(t *testing.T) {
 		"OD/2": {energy: 7, feasible: true, bound: 4},
 		"OD/3": {energy: 8, feasible: true, bound: 6},
 	}
-	var evaluated []string
-	r, err := Run(synthetic(tilingsN(4), kinds, table, &evaluated), Options{Strategy: Beam, BeamWidth: 2})
+	var evaluated recorder
+	r, err := Run(synthetic(tilingsN(4), kinds, table, &evaluated), Options{Strategy: Beam, BeamWidth: 2, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evaluated) != 2 || evaluated[0] != "OD/0" || evaluated[1] != "OD/2" {
-		t.Fatalf("evaluated %v, want [OD/0 OD/2] in canonical order", evaluated)
-	}
+	evaluated.expect(t, "OD/0", "OD/2") // canonical order
 	if r.Outcome.Value != "OD/2" {
 		t.Errorf("beam pick = %q, want OD/2", r.Outcome.Value)
 	}

@@ -7,9 +7,13 @@ import (
 // Space streams a tiling space in canonical order. Next returns the
 // next tiling, or false when the space is exhausted; Size is the total
 // count (for budget arithmetic and stats assertions); Reset rewinds the
-// stream so Beam's feasibility fallback can rescan.
+// stream so Beam's feasibility fallback can rescan. At returns the
+// tiling at canonical index i in [0, Size()) — what the i-th Next after
+// a Reset returns — so a scan can keep a 4-byte index per tiling
+// instead of the tiling itself.
 type Space interface {
 	Next() (pattern.Tiling, bool)
+	At(i int) pattern.Tiling
 	Size() int
 	Reset()
 }
@@ -81,6 +85,16 @@ func (p *Product) Size() int {
 // Reset implements Space.
 func (p *Product) Reset() { p.i, p.j, p.k, p.l = 0, 0, 0, 0 }
 
+// At implements Space: i decodes Tc-fastest, in Next's nesting order.
+func (p *Product) At(i int) pattern.Tiling {
+	l := i % len(p.tcs)
+	i /= len(p.tcs)
+	k := i % len(p.trs)
+	i /= len(p.trs)
+	j := i % len(p.tns)
+	return pattern.Tiling{Tm: p.tms[i/len(p.tns)], Tn: p.tns[j], Tr: p.trs[k], Tc: p.tcs[l]}
+}
+
 // Next implements Space.
 func (p *Product) Next() (pattern.Tiling, bool) {
 	if p.i >= len(p.tms) || p.Size() == 0 {
@@ -125,6 +139,9 @@ func (s *Slice) Size() int { return len(s.ts) }
 
 // Reset implements Space.
 func (s *Slice) Reset() { s.i = 0 }
+
+// At implements Space.
+func (s *Slice) At(i int) pattern.Tiling { return s.ts[i] }
 
 // Next implements Space.
 func (s *Slice) Next() (pattern.Tiling, bool) {

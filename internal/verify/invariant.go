@@ -63,7 +63,7 @@ func CheckPlan(p *sched.Plan, tol Tolerances) []Violation {
 		if !a.Feasible {
 			add(l.Name, "scheduled-infeasible", "chosen candidate %v %v is infeasible", a.Pattern, a.Tiling)
 		}
-		if opts.FixedTiling == nil && !a.Tiling.FitsCore(effectiveLayer(l), cfg) {
+		if e := effectiveLayer(l); opts.FixedTiling == nil && !a.Tiling.FitsCore(&e, &cfg) {
 			add(l.Name, "tiling-fits-core", "tiling %v exceeds core local storage", a.Tiling)
 		}
 
