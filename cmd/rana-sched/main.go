@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	export := fs.Bool("export", false, "emit the compiled layerwise configuration artifact as JSON")
 	asJSON := fs.Bool("json", false, "emit the compiled plan in the shared wire format (the golden/serving encoding)")
 	server := fs.String("server", "", "compile on a ranad instance (base URL) instead of in process")
-	strategy := fs.String("search", "", `Stage 2 exploration strategy: "exhaustive", "pruned" or "beam" (default pruned)`)
+	strategy := fs.String("search", "", `Stage 2 exploration strategy: "exhaustive" or "pruned" (default pruned)`)
 	parallelism := fs.Int("parallelism", 0, "per-layer search workers (0 = GOMAXPROCS; plans are identical at every level)")
 	backendSpec := fs.String("backend", "", `memory backend "name" or "name@point" (default: the platform's technology adapter; a bare name searches every point within the error budget)`)
 	traversal := fs.String("traversal", "", `tile-traversal axis spec: "linear", "rtc" or "blocked<n>", comma-separated (default: linear nest only)`)

@@ -31,10 +31,9 @@ func runRemote(baseURL, model, strategy, backend, point, traversal, mapping stri
 	req := map[string]any{"model": model}
 	if asJSON {
 		// /v1/schedule carries the same plan wire encoding as local -json.
-		// A -search strategy pins the server's exploration (and opts the
-		// request out of the beam rung of the degradation ladder);
-		// -parallelism rides along as a throughput hint that never changes
-		// the plan bytes.
+		// A -search strategy pins the server's exploration; -parallelism
+		// rides along as a throughput hint that never changes the plan
+		// bytes.
 		options := map[string]any{}
 		if strategy != "" {
 			options["search"] = strategy

@@ -60,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive panics/timeouts that open a key's circuit breaker (0 = 3, negative disables)")
 	breakerBackoff := fs.Duration("breaker-backoff", time.Second, "first breaker open window; doubles per re-open")
 	degradeBudget := fs.Duration("degrade-budget", 200*time.Millisecond, "deadlines below this get the uniform fallback schedule (negative disables)")
-	beamBudget := fs.Duration("beam-budget", time.Second, "deadlines below this (but above -degrade-budget) run the beam search unless the request pins a strategy (negative disables)")
 	parallelism := fs.Int("parallelism", 0, "per-layer search workers for requests that do not pin one (0 = GOMAXPROCS)")
 	memoEntries := fs.Int("memo-entries", 0, "server-wide layer-shape memo capacity (0 = default, negative disables)")
 	chaosSpec := fs.String("chaos", "", `fault injection spec, e.g. "panic=7,latency=3:50ms,cancel=11,starve=13:200ms,seed=42" (testing only)`)
@@ -176,7 +175,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		BreakerThreshold: *breakerThreshold,
 		BreakerBackoff:   *breakerBackoff,
 		DegradeBudget:    *degradeBudget,
-		BeamBudget:       *beamBudget,
 		Parallelism:      *parallelism,
 		MemoEntries:      *memoEntries,
 		Chaos:            injector,

@@ -320,7 +320,7 @@ func sweepParallelism(stdout, stderr io.Writer, nets []models.Network, cfg hw.Co
 }
 
 // sweepIncremental runs the incremental-pricing differential oracle:
-// pruned and beam schedules with the incremental bound evaluator must
+// pruned schedules with the incremental bound evaluator must
 // reproduce the stateless-bound plans byte-for-byte (sequential and
 // parallel), with identical per-layer work accounting.
 func sweepIncremental(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config, opts sched.Options, verbose bool) (cases, failures int) {
@@ -395,8 +395,8 @@ func sweepBackends(stdout, stderr io.Writer, nets []models.Network, cfg hw.Confi
 // sweepTraversal runs the traversal/mapping-axis differential oracle on
 // every selected network: default-axis plans must be the legacy bytes,
 // the pruned search must reproduce the exhaustive plan across the RTC
-// and mapping axes, the beam must never beat it, and every admitted
-// reorder must meet its retention deadlines in the cycle walker.
+// and mapping axes, and every admitted reorder must meet its retention
+// deadlines in the cycle walker.
 func sweepTraversal(stdout, stderr io.Writer, nets []models.Network, cfg hw.Config, opts sched.Options, tol verify.Tolerances, verbose bool) (cases, failures int) {
 	for _, net := range nets {
 		cases++

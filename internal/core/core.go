@@ -42,9 +42,6 @@ type Framework struct {
 	// Search selects Stage 2's exploration strategy (empty resolves to
 	// the branch-and-bound default, search.Pruned).
 	Search search.Strategy
-	// BeamWidth bounds search.Beam's per-layer exact evaluations; zero
-	// selects the default width.
-	BeamWidth int
 	// Parallelism bounds Stage 2's per-layer exploration worker pool
 	// (sched.Options.Parallelism): zero selects GOMAXPROCS, 1 the
 	// sequential reference path. Plans are byte-identical at every level.
@@ -186,7 +183,6 @@ func (f *Framework) CompileContext(ctx context.Context, net models.Network) (out
 		RefreshInterval: rt,
 		Controller:      memctrl.RefreshOptimized{},
 		Search:          f.Search,
-		BeamWidth:       f.BeamWidth,
 		Parallelism:     f.Parallelism,
 		Memo:            f.Memo,
 		Prefix:          f.Prefix,

@@ -10,9 +10,9 @@ import (
 )
 
 // BenchmarkScheduleLayerStrategies compares the per-layer exploration
-// cost of the three search strategies on a representative mid-network
-// layer. The evals/op metric is the number of exact Eq. 14 pricings —
-// the expensive operation pruning and beaming exist to minimize — so a
+// cost of the search strategies on a representative mid-network layer.
+// The evals/op metric is the number of exact Eq. 14 pricings — the
+// expensive operation pruning exists to minimize — so a
 // regression in either the pruning ratio or the allocation profile is
 // visible from the benchmark output alone.
 func BenchmarkScheduleLayerStrategies(b *testing.B) {

@@ -1,7 +1,6 @@
 package sched
 
-// The admissible lower bound behind the Pruned and Beam search
-// strategies: a cheap underestimate of Evaluate's exact Eq. 14 energy,
+// The admissible lower bound behind the Pruned search strategy: a cheap underestimate of Evaluate's exact Eq. 14 energy,
 // computable without running pattern.Analyze, memctrl allocation or
 // refresh accounting.
 //
@@ -27,8 +26,7 @@ package sched
 // +Inf instead: Analyze's per-kind feasibility checks are a handful of
 // multiplies, and an infeasible candidate can never become the search
 // incumbent, so an infinite bound is vacuously admissible. It lets the
-// branch-and-bound skip pricing infeasible space entirely and keeps the
-// beam's exact-evaluation budget spent on candidates that can win
+// branch-and-bound skip pricing infeasible space entirely
 // (TestBoundIsAdmissible pins the formulas against pattern.Analyze so
 // they cannot drift).
 //

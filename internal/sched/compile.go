@@ -161,7 +161,7 @@ type cellKey struct {
 //
 // The reuse key is valid within one scratch-Outcome lease only: it is
 // checked on every call, getOutcome clears it, an error clears it, and
-// a zeroed Outcome (Beam's fresh per-survivor slots) never matches. A
+// a zeroed Outcome never matches. A
 // lease never outlives one layer's search.Run, so the layer, config,
 // options and axes behind a valid key cannot change under it.
 func (s *exploreState) evaluateExact(k pattern.Kind, t pattern.Tiling, cell search.Cell, out *search.Outcome[cellPlan]) error {
@@ -285,7 +285,7 @@ func (s *exploreState) explore(l models.ConvLayer, cfg hw.Config, opts Options, 
 	if !opts.DisableIncremental {
 		prob.NewPricer = s.newPricer
 	}
-	r, err := search.Run(prob, search.Options{Strategy: opts.Search, BeamWidth: opts.BeamWidth, Parallelism: opts.Parallelism})
+	r, err := search.Run(prob, search.Options{Strategy: opts.Search, Parallelism: opts.Parallelism})
 	if err != nil {
 		return LayerPlan{}, r.Stats, err
 	}

@@ -25,9 +25,8 @@ var update = flag.Bool("update", false, "rewrite the golden schedule files")
 // TestGoldenSchedules pins the full RANA design point's compiled schedule
 // for every benchmark network under every search strategy. Exhaustive
 // and Pruned share the `golden` files (branch-and-bound is argmin-
-// preserving, so a split between them is itself a regression); Beam has
-// its own `golden-beam` files since it trades schedule quality for a
-// bounded per-layer budget. Any change to pattern selection, tiling
+// preserving, so a split between them is itself a regression). Any
+// change to pattern selection, tiling
 // search, refresh-flag computation or the energy model shows up as a
 // golden diff; run `go test ./internal/sched -update` to accept it.
 //
@@ -52,7 +51,7 @@ func TestGoldenSchedules(t *testing.T) {
 	opt734.Traversal, opt734.Mapping = "rtc", "all"
 	suites := []struct {
 		name string // golden file name suffix; the default suite has none
-		sub  string // subdirectory of the strategy's golden directory
+		sub  string // subdirectory of testdata/golden
 		opts Options
 	}{
 		{"", "", base},
@@ -61,12 +60,10 @@ func TestGoldenSchedules(t *testing.T) {
 	}
 	cases := []struct {
 		strategy search.Strategy
-		dir      string
 		write    bool // which run regenerates the file under -update
 	}{
-		{search.Exhaustive, "golden", true},
-		{search.Pruned, "golden", false},
-		{search.Beam, "golden-beam", true},
+		{search.Exhaustive, true},
+		{search.Pruned, false},
 	}
 	for _, su := range suites {
 		for _, c := range cases {
@@ -77,7 +74,7 @@ func TestGoldenSchedules(t *testing.T) {
 				if su.name != "" {
 					name += "-" + su.name
 				}
-				path := filepath.Join("testdata", c.dir, su.sub, name+".json")
+				path := filepath.Join("testdata", "golden", su.sub, name+".json")
 				t.Run(filepath.Join(string(c.strategy), su.sub, name), func(t *testing.T) {
 					checkGolden(t, path, net, cfg, opts, *update && c.write)
 				})

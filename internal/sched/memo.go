@@ -111,11 +111,10 @@ func (m *Memo) Stats() MemoStats {
 
 // signature is the canonical options form the memo keys on — the same
 // resolution rules as the serving cache hashing (resolved strategy
-// spelled out, beam width only under beam, effective guard band,
-// controller by name) so equivalent spellings collapse onto one entry.
-// Parallelism, Memo, Prefix, DisableMemo, DisableIncremental and Check
-// are deliberately absent: none of them changes a layer's resulting
-// plan bytes.
+// spelled out, effective guard band, controller by name) so equivalent
+// spellings collapse onto one entry. Parallelism, Memo, Prefix,
+// DisableMemo, DisableIncremental and Check are deliberately absent:
+// none of them changes a layer's resulting plan bytes.
 func (o Options) signature() string {
 	var sc axisScratch
 	env, _ := o.parseAxes(&sc)
@@ -156,10 +155,6 @@ func (o *Options) appendSignature(dst []byte, env compileEnv) []byte {
 	}
 	dst = append(dst, "|search="...)
 	dst = append(dst, string(o.Search.Resolve())...)
-	if o.Search.Resolve() == search.Beam {
-		dst = append(dst, "|beam="...)
-		dst = strconv.AppendInt(dst, int64(search.EffectiveWidth(o.BeamWidth)), 10)
-	}
 	// The memory-backend axis. The empty backend spelling is kept
 	// distinct from an explicit default name (normalizing would need
 	// the config, which is a separate key component) — that only costs
@@ -197,8 +192,8 @@ func (o *Options) appendSignature(dst []byte, env compileEnv) []byte {
 // keyFor builds the memo key: layer identity and config name are
 // cleared (they do not influence exploration), and the options collapse
 // onto the canonical signature shared with the serving cache hashing —
-// resolved strategy spelled out, beam width only under beam, effective
-// guard band, controller by name.
+// resolved strategy spelled out, effective guard band, controller by
+// name.
 func keyFor(l models.ConvLayer, cfg hw.Config, opts Options) memoKey {
 	return keyWithSig(l, cfg, opts, opts.signature())
 }

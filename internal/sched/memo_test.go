@@ -221,7 +221,7 @@ func TestMemoSignatureSeparatesPlanRelevantOptions(t *testing.T) {
 		t.Fatal("throughput knobs leaked into the memo signature")
 	}
 	c := ranaOpts()
-	c.Search = search.Beam
+	c.Search = search.Exhaustive
 	if a.signature() == c.signature() {
 		t.Fatal("search strategy missing from the memo signature")
 	}

@@ -63,14 +63,9 @@ type Options struct {
 	// Search selects the exploration strategy over the pattern × tiling
 	// space: search.Exhaustive prices every candidate, search.Pruned
 	// (the default — what the empty value resolves to) is branch-and-
-	// bound with the same argmin, search.Beam prices only the most
-	// promising candidates per layer. Ignored in NaturalTiling mode,
-	// which is not an optimization at all (first feasible wins).
+	// bound with the same argmin. Ignored in NaturalTiling mode, which
+	// is not an optimization at all (first feasible wins).
 	Search search.Strategy
-
-	// BeamWidth bounds search.Beam's exact evaluations per layer; zero
-	// selects search.DefaultBeamWidth. Ignored by other strategies.
-	BeamWidth int
 
 	// Backend names the memory-technology backend (internal/mem
 	// registry) the buffer is priced and refresh-modeled as. Empty
@@ -237,9 +232,6 @@ func (o *Options) check() error {
 	}
 	if err := o.Search.Validate(); err != nil {
 		return err
-	}
-	if o.BeamWidth < 0 {
-		return fmt.Errorf("sched: negative beam width %d", o.BeamWidth)
 	}
 	if o.Backend != "" {
 		b, ok := mem.Lookup(o.Backend)

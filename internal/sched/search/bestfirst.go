@@ -1,7 +1,7 @@
 package search
 
-// The best-first branch-and-bound scan behind Pruned (and Beam's
-// all-infeasible fallback). A canonical-order scan tightens its
+// The best-first branch-and-bound scan behind Pruned. A canonical-order
+// scan tightens its
 // incumbent slowly: the early tilings are rarely good, so most of what
 // it prices is priced before the incumbent can prune it. The
 // best-first scan bounds the whole space first and prices in ascending

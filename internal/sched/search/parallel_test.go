@@ -189,32 +189,6 @@ func TestParallelRepanicsWorkerPanics(t *testing.T) {
 	}
 }
 
-// TestBeamParallelMatchesSequential: the beam's fan-out pricing must
-// keep the pick, the priced count and the fallback behavior of the
-// sequential beam.
-func TestBeamParallelMatchesSequential(t *testing.T) {
-	kinds := []pattern.Kind{pattern.OD, pattern.WD}
-	for seed := uint64(0); seed < 4; seed++ {
-		table := pseudoTable(64, kinds, seed)
-		ref, err := Run(synthetic(tilingsN(64), kinds, table, nil), Options{Strategy: Beam, BeamWidth: 9, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 5} {
-			got, err := Run(synthetic(tilingsN(64), kinds, table, nil), Options{Strategy: Beam, BeamWidth: 9, Parallelism: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Found != ref.Found || got.Candidate != ref.Candidate || got.Outcome.Energy != ref.Outcome.Energy {
-				t.Fatalf("seed=%d workers=%d: beam pick moved: %+v vs %+v", seed, workers, got.Candidate, ref.Candidate)
-			}
-			if got.Stats.Evaluated != ref.Stats.Evaluated {
-				t.Fatalf("seed=%d workers=%d: beam priced %d, want %d", seed, workers, got.Stats.Evaluated, ref.Stats.Evaluated)
-			}
-		}
-	}
-}
-
 // TestSharedBoundStress is the -race stress of the shared-bound pool:
 // many workers hammer the atomic incumbent over a tie-heavy landscape,
 // and the result must match the sequential reference every round.

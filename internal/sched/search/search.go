@@ -11,13 +11,9 @@
 //     the whole space, prices in ascending-bound order, and skips every
 //     candidate whose lower bound already exceeds the incumbent's exact
 //     energy. With an admissible bound it returns the same argmin as
-//     Exhaustive, just cheaper;
-//   - Beam is the budgeted middle rung of the serving degradation
-//     ladder: it bounds every candidate, prices only the K most
-//     promising, and may therefore return a worse (but always feasible
-//     and deterministic) plan.
+//     Exhaustive, just cheaper.
 //
-// Every strategy uses one canonical preference order so equal-energy
+// Both strategies use one canonical preference order so equal-energy
 // argmins can never silently flip between strategies or refactors:
 // lexicographic (energy, kind index, tiling index, point index,
 // traversal index, mapping index) — exactly the pattern-major strict-<
@@ -47,20 +43,14 @@ const (
 	// Pruned is branch-and-bound over the same space: identical argmin,
 	// strictly less pricing work.
 	Pruned Strategy = "pruned"
-	// Beam prices only the BeamWidth candidates with the most promising
-	// lower bounds.
-	Beam Strategy = "beam"
 )
 
 // DefaultStrategy is what the empty Strategy resolves to.
 const DefaultStrategy = Pruned
 
-// DefaultBeamWidth is Beam's exact-evaluation budget when none is set.
-const DefaultBeamWidth = 64
-
-// Strategies lists the supported strategies in ladder order (most to
-// least exploration) — the /v1/catalog listing.
-func Strategies() []Strategy { return []Strategy{Exhaustive, Pruned, Beam} }
+// Strategies lists the supported strategies, the exhaustive reference
+// first — the /v1/catalog listing.
+func Strategies() []Strategy { return []Strategy{Exhaustive, Pruned} }
 
 // Resolve maps the empty strategy onto the default.
 func (s Strategy) Resolve() Strategy {
@@ -73,20 +63,11 @@ func (s Strategy) Resolve() Strategy {
 // Validate reports unknown strategies.
 func (s Strategy) Validate() error {
 	switch s.Resolve() {
-	case Exhaustive, Pruned, Beam:
+	case Exhaustive, Pruned:
 		return nil
 	default:
 		return fmt.Errorf("search: unknown strategy %q", string(s))
 	}
-}
-
-// EffectiveWidth resolves a configured beam width (0 selects the
-// default).
-func EffectiveWidth(w int) int {
-	if w <= 0 {
-		return DefaultBeamWidth
-	}
-	return w
 }
 
 // MaxParallelism caps the worker pool one Run may fan out. The cap
@@ -179,7 +160,7 @@ type Outcome[T any] struct {
 // Problem couples one layer's candidate space with its evaluators.
 type Problem[T any] struct {
 	// Space streams the tiling space in canonical order. It is consumed
-	// exactly once per Run (Beam's feasibility fallback resets it).
+	// exactly once per Run.
 	Space Space
 	// Kinds is the pattern exploration space, in option order.
 	Kinds []pattern.Kind
@@ -204,8 +185,7 @@ type Problem[T any] struct {
 	// Bound returns an admissible lower bound on Evaluate's Energy for
 	// the candidate at one value cell: it must never exceed the exact
 	// value, and must be much cheaper to compute. Nil disables pruning
-	// (Pruned degenerates to Exhaustive, Beam keeps
-	// arbitrary-but-deterministic candidates).
+	// (Pruned degenerates to Exhaustive).
 	Bound func(k pattern.Kind, t pattern.Tiling, cell Cell) float64
 	// NewPricer, when non-nil, supplies a fresh incremental bound
 	// evaluator per scan goroutine, used in Bound's place wherever a
@@ -280,8 +260,7 @@ func (p Problem[T]) maps() int { return axisExtent(p.Maps) }
 
 // Options tunes one Run.
 type Options struct {
-	Strategy  Strategy
-	BeamWidth int // Beam only; 0 selects DefaultBeamWidth
+	Strategy Strategy
 	// Parallelism bounds the worker goroutines one Run fans out across
 	// the candidate space. Zero selects GOMAXPROCS; 1 forces the
 	// sequential reference path. Results are byte-identical at every
@@ -291,8 +270,8 @@ type Options struct {
 	Parallelism int
 }
 
-// Stats counts the work one Run performed — the currency the pruning
-// and beam budgets are measured in.
+// Stats counts the work one Run performed — the currency pruning is
+// measured in.
 type Stats struct {
 	// Tilings counts tilings streamed from the space. The space is
 	// enumerated once per Run, never once per pattern kind.
@@ -335,15 +314,6 @@ type Result[T any] struct {
 	Candidate Candidate
 	Outcome   Outcome[T]
 	Stats     Stats
-}
-
-// take makes candidate c with outcome *o the incumbent, Value and all.
-// One store per field: a tuple assignment stages the several-hundred-
-// byte Outcome through a temporary, a second block copy.
-func (r *Result[T]) take(c *Candidate, o *Outcome[T]) {
-	r.Found = true
-	r.Candidate = *c
-	r.Outcome = *o
 }
 
 // improve makes candidate c, priced at *o, the incumbent by candidate,
@@ -396,14 +366,10 @@ func Run[T any](p Problem[T], o Options) (Result[T], error) {
 		return Result[T]{}, err
 	}
 	workers := EffectiveParallelism(o.Parallelism)
-	switch o.Strategy.Resolve() {
-	case Exhaustive:
+	if o.Strategy.Resolve() == Exhaustive {
 		return exhaustive(p, workers)
-	case Pruned:
-		return pruned(p, workers)
-	default: // Beam; Validate covered the rest
-		return beam(p, EffectiveWidth(o.BeamWidth), workers)
 	}
+	return pruned(p, workers)
 }
 
 // prefer reports whether candidate c with energy e beats the incumbent

@@ -22,9 +22,6 @@ func TestStrategyValidateAndResolve(t *testing.T) {
 	if Strategy("").Resolve() != Pruned {
 		t.Errorf("default strategy = %v, want pruned", Strategy("").Resolve())
 	}
-	if EffectiveWidth(0) != DefaultBeamWidth || EffectiveWidth(7) != 7 {
-		t.Error("EffectiveWidth")
-	}
 }
 
 func TestAxis(t *testing.T) {
@@ -86,13 +83,13 @@ func TestProductStreamsFullCrossProductInOrder(t *testing.T) {
 			t.Fatalf("At(%d) = %v, want %v (the %d-th Next)", i, at, want[i], i)
 		}
 	}
-	// Exhausted stays exhausted; Reset rewinds.
+	// Exhausted stays exhausted; Init rewinds.
 	if _, ok := p.Next(); ok {
 		t.Error("Next after exhaustion")
 	}
-	p.Reset()
+	p.Init([]int{1, 2}, []int{3}, []int{4, 5}, []int{6, 7})
 	if ti, ok := p.Next(); !ok || ti != want[0] {
-		t.Errorf("Reset: got %v/%v", ti, ok)
+		t.Errorf("Init: got %v/%v", ti, ok)
 	}
 }
 
@@ -186,7 +183,7 @@ func TestTieBreakKeepsEarliestCanonicalCandidate(t *testing.T) {
 		"WD/2": {energy: 7, feasible: true},
 	}
 	for _, s := range Strategies() {
-		r, err := Run(synthetic(tilingsN(3), kinds, table, nil), Options{Strategy: s, BeamWidth: 10})
+		r, err := Run(synthetic(tilingsN(3), kinds, table, nil), Options{Strategy: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +195,7 @@ func TestTieBreakKeepsEarliestCanonicalCandidate(t *testing.T) {
 	// OD comes first in kind order.
 	table["WD/2"] = entry{energy: 1, feasible: true}
 	for _, s := range Strategies() {
-		r, err := Run(synthetic(tilingsN(3), kinds, table, nil), Options{Strategy: s, BeamWidth: 10})
+		r, err := Run(synthetic(tilingsN(3), kinds, table, nil), Options{Strategy: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,58 +236,13 @@ func TestPrunedSkipsBoundedCandidatesButKeepsArgmin(t *testing.T) {
 	}
 }
 
-// TestBeamPricesOnlyTheMostPromising: with width 2, only the two
-// best-bounded candidates are priced, and the beam's pick is the best
-// among them even if the global optimum was dropped.
-func TestBeamPricesOnlyTheMostPromising(t *testing.T) {
-	kinds := []pattern.Kind{pattern.OD}
-	table := map[string]entry{
-		"OD/0": {energy: 9, feasible: true, bound: 5},
-		"OD/1": {energy: 2, feasible: true, bound: 8}, // global optimum, but poorly bounded
-		"OD/2": {energy: 7, feasible: true, bound: 4},
-		"OD/3": {energy: 8, feasible: true, bound: 6},
-	}
-	var evaluated recorder
-	r, err := Run(synthetic(tilingsN(4), kinds, table, &evaluated), Options{Strategy: Beam, BeamWidth: 2, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evaluated.expect(t, "OD/0", "OD/2") // canonical order
-	if r.Outcome.Value != "OD/2" {
-		t.Errorf("beam pick = %q, want OD/2", r.Outcome.Value)
-	}
-	if r.Stats.Evaluated != 2 || r.Stats.Pruned != 2 {
-		t.Errorf("stats = %+v", r.Stats)
-	}
-}
-
-// TestBeamFallsBackWhenBudgetAllInfeasible: if every kept candidate is
-// infeasible, the beam rescans the space branch-and-bound style rather
-// than reporting no feasible tiling.
-func TestBeamFallsBackWhenBudgetAllInfeasible(t *testing.T) {
-	kinds := []pattern.Kind{pattern.OD}
-	table := map[string]entry{
-		"OD/0": {energy: 1, feasible: false, bound: 1},
-		"OD/1": {energy: 2, feasible: false, bound: 2},
-		"OD/2": {energy: 9, feasible: true, bound: 9},
-	}
-	r, err := Run(synthetic(tilingsN(3), kinds, table, nil), Options{Strategy: Beam, BeamWidth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Found || r.Outcome.Value != "OD/2" {
-		t.Errorf("fallback pick = %q (found=%v), want OD/2", r.Outcome.Value, r.Found)
-	}
-}
-
 func TestRunPropagatesEvaluatorErrors(t *testing.T) {
 	kinds := []pattern.Kind{pattern.OD}
-	p := synthetic(tilingsN(1), kinds, map[string]entry{}, nil) // empty table: every Evaluate errors
 	for _, s := range Strategies() {
+		p := synthetic(tilingsN(1), kinds, map[string]entry{}, nil) // empty table: every Evaluate errors
 		if _, err := Run(p, Options{Strategy: s}); err == nil {
 			t.Errorf("%s: evaluator error swallowed", s)
 		}
-		p.Space.Reset()
 	}
 }
 

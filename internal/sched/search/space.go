@@ -6,16 +6,14 @@ import (
 
 // Space streams a tiling space in canonical order. Next returns the
 // next tiling, or false when the space is exhausted; Size is the total
-// count (for budget arithmetic and stats assertions); Reset rewinds the
-// stream so Beam's feasibility fallback can rescan. At returns the
-// tiling at canonical index i in [0, Size()) — what the i-th Next after
-// a Reset returns — so a scan can keep a 4-byte index per tiling
-// instead of the tiling itself.
+// count (for stats assertions). At returns the tiling at canonical
+// index i in [0, Size()) — what the i-th Next of a fresh stream returns
+// — so a scan can keep a 4-byte index per tiling instead of the tiling
+// itself.
 type Space interface {
 	Next() (pattern.Tiling, bool)
 	At(i int) pattern.Tiling
 	Size() int
-	Reset()
 }
 
 // Axis returns the candidate tile sizes along one axis of extent dim,
@@ -73,17 +71,13 @@ func NewProduct(tms, tns, trs, tcs []int) *Product {
 // Init re-points an existing (typically pooled) Product at new axis
 // lists and rewinds it — NewProduct without the allocation.
 func (p *Product) Init(tms, tns, trs, tcs []int) {
-	p.tms, p.tns, p.trs, p.tcs = tms, tns, trs, tcs
-	p.Reset()
+	*p = Product{tms: tms, tns: tns, trs: trs, tcs: tcs}
 }
 
 // Size implements Space.
 func (p *Product) Size() int {
 	return len(p.tms) * len(p.tns) * len(p.trs) * len(p.tcs)
 }
-
-// Reset implements Space.
-func (p *Product) Reset() { p.i, p.j, p.k, p.l = 0, 0, 0, 0 }
 
 // At implements Space: i decodes Tc-fastest, in Next's nesting order.
 func (p *Product) At(i int) pattern.Tiling {
@@ -130,15 +124,11 @@ func NewSlice(ts []pattern.Tiling) *Slice { return &Slice{ts: ts} }
 // Init re-points an existing (typically pooled) Slice at a new tiling
 // list and rewinds it — NewSlice without the allocation.
 func (s *Slice) Init(ts []pattern.Tiling) {
-	s.ts = ts
-	s.Reset()
+	*s = Slice{ts: ts}
 }
 
 // Size implements Space.
 func (s *Slice) Size() int { return len(s.ts) }
-
-// Reset implements Space.
-func (s *Slice) Reset() { s.i = 0 }
 
 // At implements Space.
 func (s *Slice) At(i int) pattern.Tiling { return s.ts[i] }

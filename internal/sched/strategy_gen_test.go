@@ -47,7 +47,7 @@ func TestPrunedMatchesExhaustiveOnGeneratedCases(t *testing.T) {
 // bound never exceeds the exact Eq. 14 total, and the bound's inline
 // feasibility predicate agrees with pattern.Analyze exactly (infeasible
 // candidates bound to +Inf; a drift either way would let pruning
-// discard a winnable candidate or waste the beam budget).
+// discard a winnable candidate or waste pricing work).
 func TestBoundIsAdmissible(t *testing.T) {
 	r := gen.New(11)
 	for i := 0; i < 400; i++ {

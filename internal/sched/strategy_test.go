@@ -104,76 +104,13 @@ func TestTilingSpaceEnumeratedOncePerLayer(t *testing.T) {
 	}
 }
 
-// TestBeamPlansAreFeasibleAndNoBetterThanExact: the beam may lose
-// schedule quality but never feasibility or determinism — its plan must
-// be valid for every zoo network, cost at least the exact argmin, and
-// reproduce run to run.
-func TestBeamPlansAreFeasibleAndNoBetterThanExact(t *testing.T) {
-	cfg := hw.TestAcceleratorEDRAM()
-	beam := withStrategy(ranaOpts(), search.Beam)
-	beam.BeamWidth = 16
-	for _, net := range models.Benchmarks() {
-		exact, err := Schedule(net, cfg, ranaOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := Schedule(net, cfg, beam)
-		if err != nil {
-			t.Fatalf("%s beam: %v", net.Name, err)
-		}
-		b, err := Schedule(net, cfg, beam)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aj, _ := json.Marshal(Encode(a))
-		bj, _ := json.Marshal(Encode(b))
-		if string(aj) != string(bj) {
-			t.Errorf("%s: beam schedule is not deterministic", net.Name)
-		}
-		for _, lp := range a.Layers {
-			if !lp.Analysis.Feasible {
-				t.Errorf("%s: beam chose an infeasible layer plan", net.Name)
-			}
-		}
-		if a.Energy.Total() < exact.Energy.Total()-1e-6 {
-			t.Errorf("%s: beam energy %.3e beats the exact argmin %.3e — impossible with a correct exact search",
-				net.Name, a.Energy.Total(), exact.Energy.Total())
-		}
-	}
-}
-
-// TestBeamEvaluatesAtMostWidthPerLayer: the whole point of the beam is
-// a hard per-layer exact-pricing budget.
-func TestBeamEvaluatesAtMostWidthPerLayer(t *testing.T) {
-	cfg := hw.TestAcceleratorEDRAM()
-	opts := withStrategy(ranaOpts(), search.Beam)
-	opts.BeamWidth = 8
-	for _, l := range models.VGG().Layers {
-		_, s, err := ExploreLayer(l, cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The feasibility-aware bound keeps the kept set winnable, so the
-		// rescan fallback (all kept candidates infeasible) never fires
-		// when any feasible candidate exists — the budget must hold.
-		if s.Evaluated > opts.BeamWidth {
-			t.Errorf("%s: beam priced %d candidates with width %d", l.Name, s.Evaluated, opts.BeamWidth)
-		}
-	}
-}
-
-// TestStrategyOptionValidation: unknown strategies and negative beam
-// widths are rejected at the options boundary.
+// TestStrategyOptionValidation: unknown strategies are rejected at the
+// options boundary.
 func TestStrategyOptionValidation(t *testing.T) {
 	o := ranaOpts()
 	o.Search = "simulated-annealing"
 	if err := o.Validate(); err == nil {
 		t.Error("unknown strategy validated")
-	}
-	o = ranaOpts()
-	o.BeamWidth = -1
-	if err := o.Validate(); err == nil {
-		t.Error("negative beam width validated")
 	}
 	for _, s := range search.Strategies() {
 		if err := withStrategy(ranaOpts(), s).Validate(); err != nil {

@@ -121,7 +121,7 @@ func TestCanonicalKeySeparatesDistinctRequests(t *testing.T) {
 
 	// The three ops namespace their keys.
 	record("compile", compileKey(models.AlexNet(), ""))
-	record("compile beam", compileKey(models.AlexNet(), search.Beam))
+	record("compile exhaustive", compileKey(models.AlexNet(), search.Exhaustive))
 	record("evaluate", evaluateKey("RANA*(E-5)", models.AlexNet(), "", ""))
 	record("evaluate other design", evaluateKey("S+ID", models.AlexNet(), "", ""))
 

@@ -79,6 +79,8 @@ func TestHostileBodiesAlwaysClientError(t *testing.T) {
 		{"padded past the limit", padded, http.StatusRequestEntityTooLarge},
 		{"too many layers", manyLayers, 0},
 		{"negative deadline", `{"model": "AlexNet", "deadline_ms": -5}`, 0},
+		{"retired beam strategy", `{"model": "AlexNet", "options": {"search": "beam"}}`, http.StatusBadRequest},
+		{"retired beam_width field", `{"model": "AlexNet", "options": {"beam_width": 8}}`, http.StatusBadRequest},
 		{"huge ints", `{"network": {"name": "x", "layers": [{"name": "l", "n": 999999999999999999999999, "h": 8, "l": 8, "m": 1, "k": 1, "s": 1}]}}`, 0},
 	}
 	for _, tc := range cases {

@@ -37,8 +37,7 @@ type ScheduleResponse struct {
 	// format as the golden regression files and `rana-sched -json`.
 	Plan sched.PlanJSON `json:"plan"`
 	// Search echoes the resolved exploration strategy the schedule ran
-	// under — the client's pinned strategy, the pruned default, or the
-	// beam rung the degradation ladder substituted for a tight deadline.
+	// under — the client's pinned strategy or the pruned default.
 	// Empty on degraded responses (the uniform fallback does not search).
 	Search string `json:"search,omitempty"`
 	// Degraded marks a response served via the degradation ladder: the
@@ -150,26 +149,17 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 		return nil, err
 	}
 	// The degradation ladder: an explicit deadline tightens the request
-	// context. A deadline too small for the full hybrid search swaps in
-	// the uniform fallback options (bottom rung); one that clears the
-	// degrade budget but not the beam budget swaps the exploration
-	// strategy for the budgeted beam (middle rung) — but only when the
-	// client left the strategy to the server; a pinned "search" field is
-	// honored as written. The degraded variant gets its own cache key
-	// ("schedule-degraded") because its body differs even when the
-	// resolved options coincide with a full request's; the beam rung
-	// needs no such carve-out since the resolved strategy is already a
-	// cache-key component.
+	// context, and one too small for the full search swaps in the
+	// uniform fallback options. Any other deadline runs the full search
+	// under the request's own key. The degraded variant gets its own
+	// cache key ("schedule-degraded") because its body differs even when
+	// the resolved options coincide with a full request's.
 	w := &work{}
 	if req.DeadlineMS > 0 {
 		w.deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-		pinned := req.Options != nil && req.Options.Search != ""
-		switch {
-		case s.cfg.DegradeBudget > 0 && w.deadline < s.cfg.DegradeBudget:
+		if s.cfg.DegradeBudget > 0 && w.deadline < s.cfg.DegradeBudget {
 			w.rung = degradedRung
 			opts = opts.Fallback()
-		case s.cfg.BeamBudget > 0 && w.deadline < s.cfg.BeamBudget && !pinned:
-			opts.Search = search.Beam
 		}
 	}
 	// Stage 1's per-layer error budgets ride along whenever the request
@@ -202,8 +192,8 @@ func (s *Server) prepareSchedule(req ScheduleRequest) (*work, error) {
 	// Parallelism and the shared memo ride along *outside* the cache key:
 	// plans are byte-identical at every worker count, so requests
 	// differing only here must share one entry. The ladder composes with
-	// both — a beam-rung (or degraded) computation still fans its pricing
-	// across the workers and still hits the shared memo.
+	// both — a degraded computation still fans its pricing across the
+	// workers and still hits the shared memo.
 	if opts.Parallelism == 0 {
 		opts.Parallelism = s.cfg.Parallelism
 	}

@@ -66,10 +66,8 @@ type canonicalRequest struct {
 	FixedTiling    string  `json:"fixed_tiling,omitempty"`
 	// Search is the *resolved* strategy (never empty: the default is
 	// spelled out) so a request pinning "pruned" and one omitting the
-	// field collapse onto the same key. BeamWidth is the effective beam
-	// width, present only under the beam strategy.
-	Search    string `json:"search,omitempty"`
-	BeamWidth int    `json:"beam_width,omitempty"`
+	// field collapse onto the same key.
+	Search string `json:"search,omitempty"`
 
 	// Backend is the memory-technology backend, normalized: the default
 	// technology adapter's explicit spelling collapses onto the empty
@@ -144,9 +142,6 @@ func (c *canonicalRequest) canonicalOptions(opts sched.Options, tech energy.Buff
 		c.FixedTiling = fmt.Sprintf("%d,%d,%d,%d", t.Tm, t.Tn, t.Tr, t.Tc)
 	}
 	c.Search = string(opts.Search.Resolve())
-	if opts.Search.Resolve() == search.Beam {
-		c.BeamWidth = search.EffectiveWidth(opts.BeamWidth)
-	}
 	c.Backend = mem.NormalizeName(opts.Backend, tech)
 	c.OperatingPoint = opts.OperatingPoint
 	c.ErrorBudget = opts.ErrorBudget

@@ -158,28 +158,25 @@ func TestMemoDisabled(t *testing.T) {
 	}
 }
 
-func TestBeamRungComposesWithParallelism(t *testing.T) {
-	// A deadline inside the beam budget selects the beam rung, and a
-	// pinned parallelism rides along: the computation fans out across the
-	// pinned workers, the response reports the beam strategy, and the
-	// plan stays a real (non-degraded) schedule.
-	_, ts := newTestServer(t, Config{
-		DegradeBudget: 50 * time.Millisecond,
-		BeamBudget:    time.Hour,
-	})
+func TestLadderComposesWithParallelism(t *testing.T) {
+	// A deadline that clears the degrade budget runs the full search, and
+	// a pinned parallelism rides along: the computation fans out across
+	// the pinned workers, goes through the shared memo, and the plan
+	// stays a real (non-degraded) schedule.
+	_, ts := newTestServer(t, Config{DegradeBudget: 50 * time.Millisecond})
 	_, sr := scheduleTiny(t, ts.URL, `, "deadline_ms": 30000, "options": {"parallelism": 2}`)
 	if sr.Degraded {
-		t.Fatal("beam rung must not be the degraded fallback")
+		t.Fatal("a deadline above the degrade budget must not degrade")
 	}
-	if sr.Search != string(search.Beam) {
-		t.Errorf("search = %q, want %q", sr.Search, search.Beam)
+	if sr.Search != string(search.Pruned) {
+		t.Errorf("search = %q, want %q", sr.Search, search.Pruned)
 	}
 	if len(sr.Plan.Layers) != 2 {
-		t.Errorf("beam+parallel plan has %d layers, want 2", len(sr.Plan.Layers))
+		t.Errorf("parallel plan has %d layers, want 2", len(sr.Plan.Layers))
 	}
 	m := memoCounters(t, ts.URL)
 	if m["memo_misses"] <= 0 {
-		t.Errorf("beam rung bypassed the shared memo: %v", m)
+		t.Errorf("full search bypassed the shared memo: %v", m)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -191,7 +188,7 @@ func TestBeamRungComposesWithParallelism(t *testing.T) {
 	}
 	pm, _ := raw["parallelism"].(map[string]any)
 	if got, _ := pm["2"].(float64); got != 1 {
-		t.Errorf("parallelism histogram = %v, want the beam computation counted at level 2", raw["parallelism"])
+		t.Errorf("parallelism histogram = %v, want the computation counted at level 2", raw["parallelism"])
 	}
 
 	// The degraded bottom rung skips the search entirely, so it must not

@@ -94,13 +94,9 @@ type OptionsSpec struct {
 	NaturalTiling     bool        `json:"natural_tiling,omitempty"`
 	RetentionGuard    float64     `json:"retention_guard,omitempty"`
 	FixedTiling       *TilingSpec `json:"fixed_tiling,omitempty"`
-	// Search pins the exploration strategy: "exhaustive", "pruned" or
-	// "beam". Empty lets the server choose (the pruned default, or the
-	// beam rung of the degradation ladder under a tight deadline).
+	// Search pins the exploration strategy: "exhaustive" or "pruned".
+	// Empty selects the pruned default.
 	Search string `json:"search,omitempty"`
-	// BeamWidth bounds the beam's per-layer exact evaluations; only
-	// valid with search "beam". Zero selects the default width.
-	BeamWidth int `json:"beam_width,omitempty"`
 	// Parallelism bounds the per-layer search worker pool. Zero selects
 	// the server's default (its -parallelism flag, or GOMAXPROCS). Plans
 	// are byte-identical at every level, so the field never enters the
@@ -153,8 +149,8 @@ type ScheduleRequest struct {
 type CompileRequest struct {
 	Model   string       `json:"model,omitempty"`
 	Network *NetworkSpec `json:"network,omitempty"`
-	// Search pins Stage 2's exploration strategy ("exhaustive", "pruned"
-	// or "beam"); empty selects the pruned default.
+	// Search pins Stage 2's exploration strategy ("exhaustive" or
+	// "pruned"); empty selects the pruned default.
 	Search string `json:"search,omitempty"`
 	// Parallelism bounds Stage 2's per-layer search worker pool; zero
 	// selects the server default. Excluded from the cache key (plans are
@@ -414,15 +410,6 @@ func resolveOptions(spec *OptionsSpec, cfg hw.Config) (sched.Options, error) {
 		return sched.Options{}, err
 	}
 	opts.Search = s
-	if spec.BeamWidth != 0 {
-		if spec.BeamWidth < 0 {
-			return sched.Options{}, badRequest("negative beam_width %d", spec.BeamWidth)
-		}
-		if opts.Search != search.Beam {
-			return sched.Options{}, badRequest(`beam_width requires "search": "beam"`)
-		}
-		opts.BeamWidth = spec.BeamWidth
-	}
 	if err := validateParallelism(spec.Parallelism); err != nil {
 		return sched.Options{}, err
 	}
@@ -477,9 +464,7 @@ func searchStrategyNames() []string {
 }
 
 // resolveSearch maps a wire strategy name onto search.Strategy. The
-// empty string stays empty — "client didn't pin a strategy" — so the
-// degradation ladder knows it may substitute the beam rung; callees
-// resolve it to the pruned default otherwise.
+// empty string stays empty; callees resolve it to the pruned default.
 func resolveSearch(name string) (search.Strategy, error) {
 	s := search.Strategy(name)
 	if err := s.Validate(); err != nil {

@@ -1,7 +1,7 @@
 package serve
 
 // Tests for the search-strategy surface of the API: the "search"
-// request field, the beam rung of the degradation ladder, and the
+// request field, its interplay with the degradation ladder, and the
 // strategy's place in the cache key.
 
 import (
@@ -51,26 +51,24 @@ func TestScheduleEchoesResolvedSearch(t *testing.T) {
 	}
 }
 
-func TestDeadlineSelectsBeamRung(t *testing.T) {
-	// Deadline between the degrade budget and the beam budget: the
-	// middle rung. The schedule is a real (non-degraded) search, just a
-	// budgeted one, and the response says which strategy ran.
-	_, ts := newTestServer(t, Config{
-		DegradeBudget: 50 * time.Millisecond,
-		BeamBudget:    time.Hour, // anything short of an hour beams
-	})
-	_, sr := scheduleTiny(t, ts.URL, `, "deadline_ms": 30000`)
-	if sr.Degraded {
-		t.Fatal("beam rung must not be the degraded fallback")
+func TestDeadlineAboveDegradeBudgetRunsFullSearch(t *testing.T) {
+	// The ladder has two rungs. A deadline that clears the degrade
+	// budget runs the full default search under the very key of the same
+	// request without a deadline.
+	_, ts := newTestServer(t, Config{DegradeBudget: 50 * time.Millisecond})
+	plain, _ := scheduleTiny(t, ts.URL, ``)
+	resp, sr := scheduleTiny(t, ts.URL, `, "deadline_ms": 30000`)
+	if sr.Degraded || sr.Search != string(search.Pruned) {
+		t.Errorf("degraded=%v search=%q, want full pruned search", sr.Degraded, sr.Search)
 	}
-	if sr.Search != string(search.Beam) {
-		t.Errorf("search = %q, want %q", sr.Search, search.Beam)
+	if got, want := resp.Header.Get("X-Rana-Key"), plain.Header.Get("X-Rana-Key"); got != want {
+		t.Errorf("deadline request key %s, want the no-deadline key %s", got, want)
 	}
 
-	// A pinned strategy opts out of the substitution.
-	_, sr = scheduleTiny(t, ts.URL, `, "deadline_ms": 30000, "options": {"search": "pruned"}`)
-	if sr.Search != string(search.Pruned) {
-		t.Errorf("pinned search under tight deadline = %q, want %q", sr.Search, search.Pruned)
+	// A pinned strategy is honored under a deadline too.
+	_, sr = scheduleTiny(t, ts.URL, `, "deadline_ms": 30000, "options": {"search": "exhaustive"}`)
+	if sr.Search != string(search.Exhaustive) {
+		t.Errorf("pinned search under a deadline = %q, want %q", sr.Search, search.Exhaustive)
 	}
 
 	// The bottom rung still wins below the degrade budget, and the
@@ -84,13 +82,11 @@ func TestDeadlineSelectsBeamRung(t *testing.T) {
 	}
 }
 
-func TestBeamRungDisabled(t *testing.T) {
-	// A negative beam budget disables the middle rung: a deadline that
-	// clears the degrade budget runs the full default search.
-	_, ts := newTestServer(t, Config{
-		DegradeBudget: 50 * time.Millisecond,
-		BeamBudget:    -1,
-	})
+func TestShortDeadlineRunsFullSearch(t *testing.T) {
+	// Under the default config, a deadline a little above the default
+	// degrade budget is no longer substituted with a budgeted search: it
+	// runs the full default search, exactly as a request without one.
+	_, ts := newTestServer(t, Config{})
 	_, sr := scheduleTiny(t, ts.URL, `, "deadline_ms": 500`)
 	if sr.Degraded || sr.Search != string(search.Pruned) {
 		t.Errorf("degraded=%v search=%q, want full pruned search", sr.Degraded, sr.Search)
@@ -99,16 +95,21 @@ func TestBeamRungDisabled(t *testing.T) {
 
 func TestSearchValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	// /v1/compile shares the validation through its top-level field. The
+	// retired beam strategy is an unknown name like any other, and its
+	// width field an unknown field.
 	cases := []struct {
-		name, body, wantErr string
+		name, path, body, wantErr string
 	}{
-		{"unknown strategy", `{"model": "AlexNet", "options": {"search": "dfs"}}`, "invalid search"},
-		{"width without beam", `{"model": "AlexNet", "options": {"beam_width": 8}}`, `beam_width requires "search": "beam"`},
-		{"negative width", `{"model": "AlexNet", "options": {"search": "beam", "beam_width": -2}}`, "negative beam_width"},
+		{"unknown strategy", "/v1/schedule", `{"model": "AlexNet", "options": {"search": "dfs"}}`, "invalid search"},
+		{"retired beam strategy", "/v1/schedule", `{"model": "AlexNet", "options": {"search": "beam"}}`, "(want one of [exhaustive pruned])"},
+		{"retired beam_width field", "/v1/schedule", `{"model": "AlexNet", "options": {"beam_width": 8}}`, `unknown field "beam_width"`},
+		{"compile unknown strategy", "/v1/compile", `{"model": "AlexNet", "search": "dfs"}`, "invalid search"},
+		{"compile retired beam strategy", "/v1/compile", `{"model": "AlexNet", "search": "beam"}`, "(want one of [exhaustive pruned])"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := post(t, ts.URL+"/v1/schedule", tc.body)
+			resp := post(t, ts.URL+tc.path, tc.body)
 			body := readBody(t, resp)
 			if resp.StatusCode != 400 {
 				t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
@@ -123,13 +124,6 @@ func TestSearchValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", e.Error, tc.wantErr)
 			}
 		})
-	}
-
-	// /v1/compile shares the validation through its top-level field.
-	resp := post(t, ts.URL+"/v1/compile", `{"model": "AlexNet", "search": "dfs"}`)
-	body := readBody(t, resp)
-	if resp.StatusCode != 400 {
-		t.Errorf("compile with bad search: status %d, want 400: %s", resp.StatusCode, body)
 	}
 }
 
@@ -147,16 +141,9 @@ func TestSearchStrategyIsACacheKeyComponent(t *testing.T) {
 	}
 
 	// ...while a different strategy computes fresh.
-	resp, _ = scheduleTiny(t, ts.URL, `, "options": {"search": "beam"}`)
+	resp, _ = scheduleTiny(t, ts.URL, `, "options": {"search": "exhaustive"}`)
 	if got := resp.Header.Get("X-Rana-Cache"); got != "miss" {
-		t.Errorf("beam request cache = %q, want miss (distinct key)", got)
-	}
-
-	// Beam widths are distinct keys too: a non-default width must not
-	// serve the default-width body.
-	resp, _ = scheduleTiny(t, ts.URL, `, "options": {"search": "beam", "beam_width": 7}`)
-	if got := resp.Header.Get("X-Rana-Cache"); got != "miss" {
-		t.Errorf("beam_width=7 cache = %q, want miss", got)
+		t.Errorf("exhaustive request cache = %q, want miss (distinct key)", got)
 	}
 }
 
@@ -213,8 +200,8 @@ func TestCompileHonorsSearchStrategy(t *testing.T) {
 		return inner(ctx, net, strategy, parallelism)
 	}
 	post(t, ts.URL+"/v1/compile", `{"network": `+tinyNetJSON+`}`).Body.Close()
-	post(t, ts.URL+"/v1/compile", `{"network": `+tinyNetJSON+`, "search": "beam"}`).Body.Close()
-	if len(got) != 2 || got[0] != "" || got[1] != search.Beam {
-		t.Errorf("compileFn saw strategies %v, want [\"\" beam]", got)
+	post(t, ts.URL+"/v1/compile", `{"network": `+tinyNetJSON+`, "search": "exhaustive"}`).Body.Close()
+	if len(got) != 2 || got[0] != "" || got[1] != search.Exhaustive {
+		t.Errorf("compileFn saw strategies %v, want [\"\" exhaustive]", got)
 	}
 }

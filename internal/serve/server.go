@@ -87,13 +87,6 @@ type Config struct {
 	// search. Defaults to 200 ms; negative disables degradation.
 	DegradeBudget time.Duration
 
-	// BeamBudget is the ladder's middle rung: a /v1/schedule request
-	// whose deadline clears DegradeBudget but falls below BeamBudget —
-	// and does not pin a "search" strategy itself — is explored with the
-	// budgeted beam strategy instead of the full branch-and-bound.
-	// Defaults to 1 s; negative disables the rung.
-	BeamBudget time.Duration
-
 	// Parallelism is the default per-layer search worker count applied
 	// to computations whose request does not pin one. Zero selects
 	// GOMAXPROCS (search.EffectiveParallelism). Plans are byte-identical
@@ -178,9 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DegradeBudget == 0 {
 		c.DegradeBudget = 200 * time.Millisecond
-	}
-	if c.BeamBudget == 0 {
-		c.BeamBudget = time.Second
 	}
 	if c.JobCapacity == 0 {
 		c.JobCapacity = 64

@@ -15,9 +15,9 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add("# rana-trace frequency_hz=5e8\n0,read,inputs,0,16\n3,write,outputs,1,4\n")
 	f.Add("# rana-trace frequency_hz=1e6\n")
 	f.Add("")
-	f.Add("5,read,weights,0,1\n")                                  // missing header
+	f.Add("5,read,weights,0,1\n")                                                  // missing header
 	f.Add("# rana-trace frequency_hz=5e8\n9,read,inputs,0,1\n3,read,inputs,0,1\n") // disorder
-	f.Add("# rana-trace frequency_hz=5e8\n0,flush,inputs,0,1\n")   // bad op
+	f.Add("# rana-trace frequency_hz=5e8\n0,flush,inputs,0,1\n")                   // bad op
 	f.Fuzz(func(t *testing.T, data string) {
 		tr, err := ReadTrace(strings.NewReader(data))
 		if err != nil {

@@ -6,9 +6,9 @@ package verify
 // bit-identical to the stateless reference, and therefore every pruning
 // decision, every plan byte and every work counter must match with
 // incremental pricing on and off. This oracle is the check: plans are
-// compared byte-for-byte at the strategies that consume bounds (pruned
-// branch-and-bound and beam), sequentially and at full parallelism, and
-// the sequential per-layer work accounting (candidates bounded, pruned,
+// compared byte-for-byte under the pruned branch-and-bound (the
+// strategy that consumes bounds), sequentially and at full
+// parallelism, and the sequential per-layer work accounting (candidates bounded, pruned,
 // exactly priced) is compared counter-for-counter — a pruning decision
 // that moved would surface here even if the argmin happened to survive.
 
@@ -60,9 +60,9 @@ func (r *IncrementalReport) diverge(check string, want, got any) {
 }
 
 // CompareIncremental schedules one network with incremental bound
-// pricing disabled (the stateless reference) and enabled, across the
-// bound-consuming strategies and both the sequential and parallel
-// paths, and reports any divergence in plan bytes. It then re-explores
+// pricing disabled (the stateless reference) and enabled under the
+// pruned branch-and-bound, on both the sequential and parallel paths,
+// and reports any divergence in plan bytes. It then re-explores
 // every layer sequentially under both modes and compares the search
 // work counters exactly: identical Bounded/Pruned/Evaluated splits
 // prove the pruning decisions — not just the winners — were identical.
@@ -73,9 +73,9 @@ func (r *IncrementalReport) diverge(check string, want, got any) {
 func CompareIncremental(net models.Network, cfg hw.Config, opts sched.Options) (*IncrementalReport, error) {
 	r := &IncrementalReport{Network: net.Name, Layers: len(net.Layers)}
 
-	variant := func(s search.Strategy, workers int, incremental bool) sched.Options {
+	variant := func(workers int, incremental bool) sched.Options {
 		o := opts
-		o.Search = s
+		o.Search = search.Pruned
 		o.Parallelism = workers
 		o.Memo = nil
 		o.DisableMemo = true // every layer must actually explore
@@ -84,33 +84,31 @@ func CompareIncremental(net models.Network, cfg hw.Config, opts sched.Options) (
 		return o
 	}
 
-	for _, s := range []search.Strategy{search.Pruned, search.Beam} {
-		for _, workers := range []int{1, 0} { // sequential, then GOMAXPROCS
-			name := fmt.Sprintf("%s/p%d", s, workers)
-			refPlan, refErr := sched.Schedule(net, cfg, variant(s, workers, false))
-			incPlan, incErr := sched.Schedule(net, cfg, variant(s, workers, true))
-			if (refErr == nil) != (incErr == nil) {
-				r.diverge("incremental/error/"+name, errString(refErr), errString(incErr))
-				continue
+	for _, workers := range []int{1, 0} { // sequential, then GOMAXPROCS
+		name := fmt.Sprintf("pruned/p%d", workers)
+		refPlan, refErr := sched.Schedule(net, cfg, variant(workers, false))
+		incPlan, incErr := sched.Schedule(net, cfg, variant(workers, true))
+		if (refErr == nil) != (incErr == nil) {
+			r.diverge("incremental/error/"+name, errString(refErr), errString(incErr))
+			continue
+		}
+		if refErr != nil {
+			if refErr.Error() != incErr.Error() {
+				r.diverge("incremental/error-text/"+name, refErr, incErr)
 			}
-			if refErr != nil {
-				if refErr.Error() != incErr.Error() {
-					r.diverge("incremental/error-text/"+name, refErr, incErr)
-				}
-				continue
-			}
-			refJSON, err := json.Marshal(sched.Encode(refPlan))
-			if err != nil {
-				return nil, fmt.Errorf("verify: encoding reference plan: %w", err)
-			}
-			incJSON, err := json.Marshal(sched.Encode(incPlan))
-			if err != nil {
-				return nil, fmt.Errorf("verify: encoding incremental plan: %w", err)
-			}
-			if string(refJSON) != string(incJSON) {
-				r.diverge("incremental/plan-bytes/"+name,
-					fmt.Sprintf("%.120s", refJSON), fmt.Sprintf("%.120s", incJSON))
-			}
+			continue
+		}
+		refJSON, err := json.Marshal(sched.Encode(refPlan))
+		if err != nil {
+			return nil, fmt.Errorf("verify: encoding reference plan: %w", err)
+		}
+		incJSON, err := json.Marshal(sched.Encode(incPlan))
+		if err != nil {
+			return nil, fmt.Errorf("verify: encoding incremental plan: %w", err)
+		}
+		if string(refJSON) != string(incJSON) {
+			r.diverge("incremental/plan-bytes/"+name,
+				fmt.Sprintf("%.120s", refJSON), fmt.Sprintf("%.120s", incJSON))
 		}
 	}
 
@@ -118,8 +116,8 @@ func CompareIncremental(net models.Network, cfg hw.Config, opts sched.Options) (
 	// counters are deterministic at Parallelism 1, so any difference is
 	// a pruning decision that moved between the two bound evaluators.
 	for _, l := range net.Layers {
-		ref := variant(search.Pruned, 1, false)
-		inc := variant(search.Pruned, 1, true)
+		ref := variant(1, false)
+		inc := variant(1, true)
 		_, refStats, refErr := sched.ExploreLayer(l, cfg, ref)
 		_, incStats, incErr := sched.ExploreLayer(l, cfg, inc)
 		if (refErr == nil) != (incErr == nil) {

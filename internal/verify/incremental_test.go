@@ -9,9 +9,9 @@ import (
 )
 
 // TestCompareIncrementalOnZoo is the incremental-pricing acceptance
-// check: across the benchmark zoo, pruned and beam schedules with
-// incremental bound pricing enabled must reproduce the stateless-bound
-// reference byte-for-byte, sequentially and in parallel, with identical
+// check: across the benchmark zoo, pruned schedules with incremental
+// bound pricing enabled must reproduce the stateless-bound reference
+// byte-for-byte, sequentially and in parallel, with identical
 // per-layer work accounting.
 func TestCompareIncrementalOnZoo(t *testing.T) {
 	cfg := hw.TestAcceleratorEDRAM()

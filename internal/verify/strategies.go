@@ -2,10 +2,10 @@ package verify
 
 // The search-strategy differential oracle. The Fig. 13 exploration now
 // runs behind pluggable strategies (internal/sched/search): the
-// exhaustive reference, the pruned branch-and-bound default, and the
-// budgeted beam. Pruning is only sound if the lower bound is admissible
-// and the tie-break order is preserved — properties that are argued in
-// the bound's documentation and *checked* here: the pruned run must
+// exhaustive reference and the pruned branch-and-bound default. Pruning
+// is only sound if the lower bound is admissible and the tie-break
+// order is preserved — properties that are argued in the bound's
+// documentation and *checked* here: the pruned run must
 // reproduce the exhaustive plan byte-for-byte on the wire while
 // provably doing no more exact-evaluation work.
 
@@ -67,14 +67,12 @@ func (r *StrategyReport) diverge(check, wantModel, gotModel string, want, got an
 //   - per layer, both strategies must stream the same candidate set, and
 //     the pruned run's evaluated+pruned must account for exactly that
 //     set — no candidate silently dropped;
-//   - per layer, pruning must never evaluate more than exhaustion;
-//   - the beam's plan, when feasible, must cost at least the exact
-//     optimum — a beam that "wins" would mean the exact argmin is wrong.
+//   - per layer, pruning must never evaluate more than exhaustion.
 //
 // Infeasible networks must be rejected by both strategies alike; one
 // succeeding where the other fails is itself a divergence. opts.Search
-// and opts.BeamWidth are overridden per run; everything else (patterns,
-// refresh interval, controller) is compared as given.
+// is overridden per run; everything else (patterns, refresh interval,
+// controller) is compared as given.
 func CompareStrategies(net models.Network, cfg hw.Config, opts sched.Options) (*StrategyReport, error) {
 	r := &StrategyReport{Network: net.Name}
 
@@ -137,18 +135,6 @@ func CompareStrategies(net models.Network, cfg hw.Config, opts sched.Options) (*
 		if ps.Evaluated > es.Evaluated {
 			r.diverge("strategy/work/"+l.Name, "exhaustive", "pruned", es.Evaluated, ps.Evaluated)
 		}
-	}
-
-	// The beam is allowed to lose — it prices a budgeted subset — but
-	// never to win: a cheaper beam plan would falsify the exact argmin.
-	// Its feasibility fallback means it must schedule whatever the exact
-	// strategies can.
-	beamPlan, beamErr := sched.Schedule(net, cfg, withStrategy(search.Beam))
-	if beamErr != nil {
-		r.diverge("strategy/beam-error", "exhaustive", "beam", "ok", beamErr)
-	} else if beamPlan.Energy.Total() < exPlan.Energy.Total() {
-		r.diverge("strategy/beam-energy", "exhaustive", "beam",
-			fmt.Sprintf(">= %g pJ", exPlan.Energy.Total()), beamPlan.Energy.Total())
 	}
 	return r, nil
 }
